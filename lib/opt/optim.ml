@@ -10,8 +10,9 @@
    produces, is byte-reproducible run over run.
 
    Outcomes are typed in the Supervisor style: [Converged] (the
-   termination tolerance was genuinely met, or [stop_when] declared the
-   goal attained), [Stalled] (the search collapsed without a finite or
+   termination tolerance was genuinely met — for Nelder-Mead, also by a
+   restarted simplex that found nothing better — or [stop_when] declared
+   the goal attained), [Stalled] (the search collapsed without a finite or
    settled objective — e.g. every point infeasible), [Budget_exhausted]
    (the evaluation budget ran out first). Infinite objective values are
    legal and ordered normally; the trackers never let one overwrite a
@@ -98,20 +99,23 @@ let nelder_mead ?(options = default_options) ?(stop_when = fun _ -> false)
   let eval = make_eval ~options ~stop_when ~f t in
   let width i = hi.(i) -. lo.(i) in
   try
-    (* initial simplex: x0 plus one axis step per dimension, stepping
-       away from the nearer box wall so clipping cannot collapse it *)
-    let x0 = clip ~lo ~hi x0 in
-    let vertex i =
-      let x = Array.copy x0 in
-      let s = options.init_step *. width i in
-      x.(i) <- (if x.(i) +. s <= hi.(i) then x.(i) +. s else x.(i) -. s);
-      x
-    in
-    let simplex =
+    (* simplex around a point: the point plus one axis step per
+       dimension, stepping away from the nearer box wall so clipping
+       cannot collapse it *)
+    let around (fx, x) =
       Array.init (n + 1) (fun k ->
-          let x = if k = 0 then x0 else vertex (k - 1) in
-          (eval x, x))
+          if k = 0 then (fx, x)
+          else begin
+            let v = Array.copy x and i = k - 1 in
+            let s = options.init_step *. width i in
+            v.(i) <- (if v.(i) +. s <= hi.(i) then v.(i) +. s else v.(i) -. s);
+            (eval v, v)
+          end)
     in
+    let x0 = clip ~lo ~hi x0 in
+    let simplex = around (eval x0, x0) in
+    (* best value at the last settle: a restart must improve on it *)
+    let settled_at = ref None in
     let order () =
       (* stable: equal objectives keep their current order, so the walk
          is independent of unspecified sort behavior *)
@@ -129,22 +133,8 @@ let nelder_mead ?(options = default_options) ?(stop_when = fun _ -> false)
           !d)
         0.0 simplex
     in
-    let rec iterate () =
-      order ();
-      let f_best, x_best = simplex.(0) and f_worst, _ = simplex.(n) in
-      ignore x_best;
-      (* two independent termination triggers (simplex collapsed in x,
-         or the objective spread settled); which outcome they mean is
-         decided by whether a finite best was ever seen — a search that
-         collapsed on all-infinite (infeasible) points stalled, it did
-         not converge *)
-      if
-        diameter () <= options.tol_x
-        || Float.is_finite f_best
-           && f_worst -. f_best <= options.tol_f *. (1.0 +. Float.abs f_best)
-      then
-        raise_notrace
-          (Settled (if Float.is_finite t.best_f then Converged else Stalled));
+    (* one reflection/expansion/contraction/shrink move *)
+    let reflect f_worst =
       t.iters <- t.iters + 1;
       (* centroid of all but the worst *)
       let c = Array.make n 0.0 in
@@ -185,7 +175,33 @@ let nelder_mead ?(options = default_options) ?(stop_when = fun _ -> false)
             simplex.(k) <- (eval xs, xs)
           done
         end
-      end;
+      end
+    in
+    let rec iterate () =
+      order ();
+      let f_best, _ = simplex.(0) and f_worst, _ = simplex.(n) in
+      (* two independent termination triggers (simplex collapsed in x,
+         or the objective spread settled); which outcome they mean is
+         decided by whether a finite best was ever seen — a search that
+         collapsed on all-infinite (infeasible) points stalled, it did
+         not converge *)
+      if
+        diameter () <= options.tol_x
+        || Float.is_finite f_best
+           && f_worst -. f_best <= options.tol_f *. (1.0 +. Float.abs f_best)
+      then begin
+        if not (Float.is_finite t.best_f) then raise_notrace (Settled Stalled);
+        (* a settled simplex can be collapsed on a clipped wall or spread
+           along one level set short of the minimum: restart it around
+           the best vertex, and accept only once a restart no longer
+           improves the best value *)
+        (match !settled_at with
+        | Some f0 when f0 -. f_best <= options.tol_f *. (1.0 +. Float.abs f_best) ->
+            raise_notrace (Settled Converged)
+        | _ -> settled_at := Some f_best);
+        Array.blit (around simplex.(0)) 0 simplex 0 (n + 1)
+      end
+      else reflect f_worst;
       iterate ()
     in
     iterate ()

@@ -50,7 +50,12 @@ val nelder_mead :
   result
 (** [nelder_mead ~lo ~hi ~f x0]: downhill simplex with box clipping.
     The initial simplex steps each axis away from the nearer wall so
-    clipping cannot collapse it. [stop_when] is called on every new
+    clipping cannot collapse it. A settled simplex (collapsed in x, or
+    with its objective spread below [tol_f]) is rebuilt around the best
+    vertex, and [Converged] is reported only once such a restart no
+    longer improves the best value by more than [tol_f] (relative):
+    this catches a simplex collapsed onto a clipped wall or spread along
+    one level set short of the minimum. [stop_when] is called on every new
     best value; returning [true] stops immediately with [Converged]
     (the spec-met early exit). NaN objective values are treated as
     [+inf]. Raises [Invalid_argument] unless [lo < hi] componentwise. *)

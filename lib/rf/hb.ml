@@ -39,304 +39,83 @@ exception No_convergence = Error.No_convergence
 
 let engine = "hb"
 
-(* residual R(X) = D q(X) + f(X) - B, flattened row-major (sample, unknown) *)
-let residual_mat c ~period ~times (x : Mat.t) =
-  let ns = x.Mat.rows and n = x.Mat.cols in
-  let qs = Mat.make ns n and r = Mat.make ns n in
-  for s = 0 to ns - 1 do
-    let xs = Mat.row x s in
-    Mat.set_row qs s (Mna.eval_q c xs);
-    let fs = Mna.eval_f c xs in
-    let bs = Mna.eval_b c times.(s) in
-    Mat.set_row r s (Vec.sub fs bs)
-  done;
-  (* add spectral d/dt of the charge columns *)
-  for j = 0 to n - 1 do
-    let dq = Grid.diff_samples ~period (Mat.col qs j) in
-    for s = 0 to ns - 1 do
-      Mat.update r s j (fun v -> v +. dq.(s))
-    done
-  done;
-  r
+(* the one-tone preset of the shared engine: sources evaluated in time *)
+let problem c ~freq ~n_samples =
+  Hb_core.make ~engine c ~tones:[| freq |] ~dims:[| n_samples |] ~excite:(fun ts ->
+      Mna.eval_b c ts.(0))
 
-let residual_norm c ~freq x =
-  let period = 1.0 /. freq in
-  let times = Grid.times ~period ~n:x.Mat.rows in
-  Mat.max_abs (residual_mat c ~period ~times x)
+let residual_norm c ~freq (x : Mat.t) =
+  Vec.norm_inf (Hb_core.residual (problem c ~freq ~n_samples:x.Mat.rows) x.Mat.a)
 
-let flatten (m : Mat.t) = Array.copy m.Mat.a
-let unflatten ~rows ~cols a : Mat.t = { Mat.rows; cols; a = Array.copy a }
-
-(* per-sample sparse linearizations C_s, G_s — the only matrices the HB
-   Jacobian is ever built from, computed once per Newton iteration and
-   shared by the matvec, the preconditioner, and the dense fallback *)
-let sample_jacobians c (x : Mat.t) =
-  let ns = x.Mat.rows in
-  ( Array.init ns (fun s -> Mna.jac_c_sparse c (Mat.row x s)),
-    Array.init ns (fun s -> Mna.jac_g_sparse c (Mat.row x s)) )
-
-(* dense HB Jacobian: J[(s,i),(s',j)] = D[s,s'] C_{s'}[i,j] + delta_{ss'} G_s[i,j];
-   assembled from the sparse stamps, small-circuit fallback only *)
-let dense_jacobian ~period ~n ~cs ~gs =
-  let ns = Array.length cs in
-  let d = Grid.diff_matrix ~period ~n:ns in
-  let dim = ns * n in
-  let j = Mat.make dim dim in
-  for s' = 0 to ns - 1 do
-    Sparse.iter
-      (fun i jj v ->
-        for s = 0 to ns - 1 do
-          let dss = Mat.get d s s' in
-          if dss <> 0.0 then
-            Mat.update j ((s * n) + i) ((s' * n) + jj) (fun w -> w +. (dss *. v))
-        done)
-      cs.(s');
-    Sparse.iter
-      (fun i jj v ->
-        Mat.update j ((s' * n) + i) ((s' * n) + jj) (fun w -> w +. v))
-      gs.(s')
-  done;
-  j
-
-(* matrix-implicit application of the HB Jacobian to a flattened vector:
-   two sparse matvecs per sample plus a spectral derivative per unknown *)
-let apply_jacobian ~period ~n ~cs ~gs (v : Vec.t) =
-  let ns = Array.length cs in
-  let vm = unflatten ~rows:ns ~cols:n v in
-  let cv = Mat.make ns n and gv = Mat.make ns n in
-  for s = 0 to ns - 1 do
-    let vs = Mat.row vm s in
-    Mat.set_row cv s (Sparse.matvec cs.(s) vs);
-    Mat.set_row gv s (Sparse.matvec gs.(s) vs)
-  done;
-  for j = 0 to n - 1 do
-    let dq = Grid.diff_samples ~period (Mat.col cv j) in
-    for s = 0 to ns - 1 do
-      Mat.update gv s j (fun w -> w +. dq.(s))
-    done
-  done;
-  flatten gv
-
-(* sample-averaged sparse stamps: every sample shares the cached MNA
-   pattern, so the merge never grows beyond the union pattern *)
-let average_sparse arr =
-  let ns = Array.length arr in
-  let acc = ref arr.(0) in
-  for s = 1 to ns - 1 do
-    acc := Sparse.add !acc arr.(s)
-  done;
-  Sparse.scale (1.0 /. float_of_int ns) !acc
-
-(* block-diagonal per-harmonic preconditioner built from time-averaged C
-   and G: P_k = j w_k C_avg + G_avg. Each block assembles as Csparse and
-   factors with the complex Gilbert-Peierls LU; all blocks share one
-   structural pattern (the G+C union — Csparse.scale keeps explicit
-   entries even at w_0 = 0), so the caller-held symbolic [cache] is
-   analyzed once and every other harmonic of every Newton iteration is a
-   pivot-frozen refactor. [perm] is the circuit's fill-reducing order. *)
-let make_preconditioner ?perm ~cache ~period ~n ~cs ~gs () =
-  let ns = Array.length cs in
-  let c_avg = Csparse.of_real (average_sparse cs) in
-  let g_avg = Csparse.of_real (average_sparse gs) in
-  let w0 = 2.0 *. Float.pi /. period in
-  let half = ns / 2 in
-  let factors =
-    Array.init (half + 1) (fun k ->
-        let wk = w0 *. float_of_int k in
-        let block = Csparse.add g_avg (Csparse.scale (Cx.im wk) c_avg) in
-        Csparse_lu.factor_cached ?perm cache block)
-  in
-  fun (v : Vec.t) ->
-    let vm = unflatten ~rows:ns ~cols:n v in
-    (* per-unknown FFT over samples *)
-    let spectra = Array.init n (fun j -> Fft.forward_real (Mat.col vm j)) in
-    (* per-harmonic complex block solves; conjugate symmetry halves work *)
-    let solved = Array.make ns [||] in
-    for k = 0 to half do
-      let rhs = Cvec.init n (fun j -> spectra.(j).(k)) in
-      solved.(k) <- Csparse_lu.solve factors.(k) rhs
-    done;
-    for k = half + 1 to ns - 1 do
-      (* mirror bin: P_{-k} = conj(P_k), rhs_{-k} = conj(rhs_k) *)
-      solved.(k) <- Cvec.map Cx.conj solved.(ns - k)
-    done;
-    let out = Mat.make ns n in
-    for j = 0 to n - 1 do
-      let col_spec = Cvec.init ns (fun k -> solved.(k).(j)) in
-      let col = Cvec.real (Fft.inverse col_spec) in
-      for s = 0 to ns - 1 do
-        Mat.set out s j col.(s)
-      done
-    done;
-    flatten out
-
-let initial_guess ?(x0 : Mat.t option) c ~options ~period ~times =
-  match x0 with
-  | Some m -> Mat.copy m
-  | None ->
-      let ns = options.n_samples in
-      let n = Mna.size c in
-      if options.warm_periods > 0 then begin
-        (* integrate a few periods of transient, then sample the last one *)
-        let t_stop = float_of_int options.warm_periods *. period in
-        let dt = period /. float_of_int ns in
-        let res =
-          try Tran.run ~method_:Tran.Backward_euler c ~t_stop ~dt
-          with Tran.Step_failed _ | Dc.No_convergence _ ->
-            { Tran.times = [| 0.0 |]; states = [| Vec.create n |] }
-        in
-        let m = Array.length res.Tran.times in
-        let guess = Mat.make ns n in
-        for s = 0 to ns - 1 do
-          let t = res.Tran.times.(m - 1) -. period +. times.(s) in
-          let row =
-            Vec.init n (fun i ->
-                let ys = Array.map (fun st -> st.(i)) res.Tran.states in
-                Interp.linear res.Tran.times ys (Float.max 0.0 t))
-          in
-          Mat.set_row guess s row
-        done;
-        guess
-      end
-      else begin
-        let xdc = try Dc.solve c with Dc.No_convergence _ -> Vec.create n in
-        Mat.init ns n (fun _ i -> xdc.(i))
-      end
-
-let default_damping = 5.0
-
-let solve_core ~options ~damping ~iter_cap ?x0 c ~freq =
-  let period = 1.0 /. freq in
-  let ns = options.n_samples in
+(* integrate a few periods of transient, then sample the last one *)
+let transient_guess c ~period ~ns ~periods =
   let n = Mna.size c in
-  let times = Grid.times ~period ~n:ns in
-  let x = ref (initial_guess ?x0 c ~options ~period ~times) in
-  (* one symbolic plan for every preconditioner block of every Newton
-     iteration: the harmonic blocks all share the G+C union pattern *)
-  let perm = Mna.ordering_perm c in
-  let precond_cache = ref None in
-  let gmres_total = ref 0 in
-  let iters = ref 0 in
-  let res_norm = ref infinity in
-  let converged = ref false in
-  let stats () =
-    {
-      Supervisor.iterations = !iters;
-      residual = !res_norm;
-      krylov_iterations = !gmres_total;
-    }
+  let res =
+    Tran.run ~method_:Tran.Backward_euler c
+      ~t_stop:(float_of_int periods *. period)
+      ~dt:(period /. float_of_int ns)
   in
-  let cap = min options.max_newton iter_cap in
-  try
-    while (not !converged) && !iters < cap do
-      incr iters;
-      let r = residual_mat c ~period ~times !x in
-      res_norm := Mat.max_abs r;
-      if !res_norm <= options.tol then converged := true
-      else begin
-        let rhs = flatten r in
-        if Faults.singular_now ~engine then raise Lu.Singular;
-        let cs, gs = sample_jacobians c !x in
-        let dx =
-          match options.solver with
-          | Direct ->
-              let j = dense_jacobian ~period ~n ~cs ~gs in
-              Lu.solve (Lu.factor j) rhs
-          | Matrix_free_gmres ->
-              let precond =
-                if options.precondition then
-                  make_preconditioner ?perm ~cache:precond_cache ~period ~n ~cs
-                    ~gs ()
-                else fun v -> v
-              in
-              let op = apply_jacobian ~period ~n ~cs ~gs in
-              let sol, st =
-                Krylov.gmres ~m:80 ~tol:options.gmres_tol ~max_iter:2000 ~precond
-                  op rhs
-              in
-              gmres_total := !gmres_total + st.Krylov.iterations;
-              if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
-                Error.fail ~engine
-                  ~cause:
-                    (Supervisor.Krylov_stall
-                       {
-                         iterations = st.Krylov.iterations;
-                         residual = st.Krylov.residual;
-                       })
-                  "HB GMRES did not converge";
-              sol
-        in
-        Guard.check ~engine ~iter:!iters dx;
-        (* damped Newton update *)
-        let step = Vec.norm_inf dx in
-        let scale = if step > damping then damping /. step else 1.0 in
-        let dxm = unflatten ~rows:ns ~cols:n dx in
-        let xm = !x in
-        for s = 0 to ns - 1 do
-          for i = 0 to n - 1 do
-            Mat.update xm s i (fun v -> v -. (scale *. Mat.get dxm s i))
-          done
-        done
-      end
-    done;
-    if not !converged then
-      Error
-        ( Supervisor.Newton_stall { iterations = !iters; residual = !res_norm },
-          stats () )
-    else
-      Ok
-        ( {
-            circuit = c;
-            freq;
-            times;
-            samples = !x;
-            newton_iters = !iters;
-            residual = !res_norm;
-            gmres_iters_total = !gmres_total;
-          },
-          stats () )
-  with
-  | Lu.Singular | Clu.Singular -> Error (Supervisor.Singular_jacobian, stats ())
-  | Krylov.Non_finite index ->
-      Error (Supervisor.Non_finite { iter = !iters; index }, stats ())
-  | Guard.Non_finite_found { iter; index } ->
-      Error (Supervisor.Non_finite { iter; index }, stats ())
-  | Error.No_convergence e -> Error (e.Error.cause, stats ())
+  let t_end = res.Tran.times.(Array.length res.Tran.times - 1) in
+  let columns = Array.init n (fun i -> Array.map (fun st -> st.(i)) res.Tran.states) in
+  let times = Grid.times ~period ~n:ns in
+  Vec.init (ns * n) (fun idx ->
+      let t = t_end -. period +. times.(idx / n) in
+      Interp.linear res.Tran.times columns.(idx mod n) (Float.max 0.0 t))
+
+let initial_guess ?(x0 : Mat.t option) p c ~options ~freq =
+  match x0 with
+  | Some m -> Array.copy m.Mat.a
+  | None when options.warm_periods > 0 ->
+      let ns = options.n_samples in
+      Hb_core.guarded_start
+        ~fallback:(fun () -> Vec.create (ns * Mna.size c))
+        (fun () ->
+          transient_guess c ~period:(1.0 /. freq) ~ns ~periods:options.warm_periods)
+  | None -> Hb_core.dc_start p
 
 let solve_outcome ?budget ?(options = default_options) ?x0 c ~freq =
-  (* structural pre-flight: the HB Jacobian's diagonal blocks share the
-     union G+C pattern, so a deficient matching dooms every sample count *)
-  let n = Mna.size c in
-  let rank = Mna.structural_rank_gc c in
-  if rank < n then
-    Supervisor.Failed (Supervisor.structural_failure ~engine ~rank ~size:n)
-  else
-  Supervisor.run ?budget ~engine
+  Hb_core.supervise ?budget ~engine c
     ~ladder:
       [
         Supervisor.Base;
-        Supervisor.Tighten_damping (default_damping /. 4.0);
+        Supervisor.Tighten_damping (Hb_core.default_damping /. 4.0);
         Supervisor.Warm_start (4 * max 1 options.warm_periods);
         Supervisor.Escalate_samples 2;
       ]
     ~attempt:(fun strategy ~iter_cap ->
-      let damping, options =
+      let options =
         match strategy with
-        | Supervisor.Tighten_damping d -> (d, options)
-        | Supervisor.Warm_start p ->
-            (default_damping, { options with warm_periods = p })
+        | Supervisor.Warm_start p -> { options with warm_periods = p }
         | Supervisor.Escalate_samples f ->
-            (* a user-supplied x0 pins the sample count; re-run base instead *)
-            let options =
-              match x0 with
-              | None -> { options with n_samples = options.n_samples * f }
-              | Some _ -> options
-            in
-            (default_damping, options)
-        | _ -> (default_damping, options)
+            { options with n_samples = options.n_samples * f }
+        | _ -> options
       in
-      solve_core ~options ~damping ~iter_cap ?x0 c ~freq)
-    ()
+      (* a user-supplied x0 pins the sample count: escalation re-runs base *)
+      let ns = match x0 with Some (m : Mat.t) -> m.Mat.rows | None -> options.n_samples in
+      let options = { options with n_samples = ns } in
+      let p = problem c ~freq ~n_samples:ns in
+      let settings =
+        {
+          Hb_core.max_newton = options.max_newton;
+          tol = options.tol;
+          gmres_tol = options.gmres_tol;
+          direct = options.solver = Direct;
+          precondition = options.precondition;
+        }
+      in
+      Hb_core.newton p settings ~damping:(Hb_core.damping_of strategy) ~iter_cap
+        (initial_guess ?x0 p c ~options ~freq)
+      |> Result.map (fun (x, (st : Supervisor.stats)) ->
+             ( {
+                 circuit = c;
+                 freq;
+                 times = Grid.times ~period:(1.0 /. freq) ~n:ns;
+                 samples = { Mat.rows = ns; cols = Mna.size c; a = x };
+                 newton_iters = st.iterations;
+                 residual = st.residual;
+                 gmres_iters_total = st.krylov_iterations;
+               },
+               st )))
 
 let solve ?options ?x0 c ~freq =
   match solve_outcome ?options ?x0 c ~freq with

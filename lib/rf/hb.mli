@@ -12,7 +12,11 @@
     system; the linear solves are either direct (dense, small circuits) or
     {b matrix-implicit GMRES with a block-diagonal per-harmonic complex
     preconditioner} — the scalable scheme the paper credits for making HB
-    viable on full RF ICs ([10, 31] in the text). *)
+    viable on full RF ICs ([10, 31] in the text).
+
+    This is the one-tone preset of the collocation core shared with
+    {!Hb2} and {!Hbn}; it alone reaches the dense direct solver, the
+    transient warm start and the preconditioner toggle. *)
 
 type linear_solver = Direct | Matrix_free_gmres
 
@@ -50,10 +54,12 @@ val solve_outcome :
   Rfkit_circuit.Mna.t ->
   freq:float ->
   result Rfkit_solve.Supervisor.outcome
-(** Supervised solve. Retry ladder: base, tightened Newton damping, longer
-    transient warm-start, then doubled sample count (skipped when [x0]
-    pins the grid). GMRES iteration totals surface in the report's
-    [krylov_iterations]. *)
+(** Supervised solve. A structural pre-flight on the G+C union pattern
+    first rejects a singular circuit with zero attempts spent
+    ({!Rfkit_solve.Supervisor.Structurally_singular}). Retry ladder:
+    base, tightened Newton damping, longer transient warm-start, then
+    doubled sample count (skipped when [x0] pins the grid). GMRES
+    iteration totals surface in the report's [krylov_iterations]. *)
 
 val solve :
   ?options:options -> ?x0:Rfkit_la.Mat.t -> Rfkit_circuit.Mna.t -> freq:float -> result

@@ -8,9 +8,10 @@
     with both spectral differentiation operators applied by 2-D FFT.
     Newton with matrix-implicit GMRES; the preconditioner is
     block-diagonal over the 2-D harmonic grid — one complex [n x n]
-    factorization of [j(k1 w1 + k2 w2) C_avg + G_avg] per mix bin. This
-    is the engine for Fig 1's modulator spectrum: tones at 80 kHz and
-    1.62 GHz, six decades apart, cost the same as any other pair. *)
+    factorization of [j(k1 w1 + k2 w2) C_avg + G_avg] per ±(k1, k2) mix
+    bin pair. This is the engine for Fig 1's modulator spectrum: tones at
+    80 kHz and 1.62 GHz, six decades apart, cost the same as any other
+    pair. It is the two-tone preset of {!Hbn}'s collocation core. *)
 
 exception No_convergence of Rfkit_solve.Error.t
 (** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}. *)
@@ -43,8 +44,9 @@ val solve_outcome :
   f1:float ->
   f2:float ->
   result Rfkit_solve.Supervisor.outcome
-(** Supervised solve: base attempt, then a tightened-damping retry. GMRES
-    stalls surface as {!Rfkit_solve.Supervisor.Krylov_stall}. *)
+(** Supervised solve: the structural pre-flight (zero attempts on a
+    singular G+C pattern), a base attempt, then a tightened-damping retry.
+    GMRES stalls surface as {!Rfkit_solve.Supervisor.Krylov_stall}. *)
 
 val solve : ?options:options -> Rfkit_circuit.Mna.t -> f1:float -> f2:float -> result
 (** Exception shim over {!solve_outcome}. *)

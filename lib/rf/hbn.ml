@@ -25,284 +25,6 @@ type result = {
   gmres_iters_total : int;
 }
 
-(* ---------------------------------------------------------------- grids *)
-
-let total dims = Array.fold_left ( * ) 1 dims
-
-(* stride of axis a in the flattened row-major layout *)
-let stride dims a =
-  let s = ref 1 in
-  for i = a + 1 to Array.length dims - 1 do
-    s := !s * dims.(i)
-  done;
-  !s
-
-(* multi-index of a flat position *)
-let unflatten dims flat =
-  let d = Array.length dims in
-  let m = Array.make d 0 in
-  let rest = ref flat in
-  for a = d - 1 downto 0 do
-    m.(a) <- !rest mod dims.(a);
-    rest := !rest / dims.(a)
-  done;
-  m
-
-let signed_bin k n = if k <= n / 2 then k else k - n
-
-(* angular frequency of a mix bin, with even-grid Nyquist bins zeroed *)
-let bin_omega ~tones ~dims m =
-  let w = ref 0.0 in
-  Array.iteri
-    (fun a ka ->
-      let n = dims.(a) in
-      let k = if n mod 2 = 0 && ka = n / 2 then 0 else signed_bin ka n in
-      w := !w +. (2.0 *. Float.pi *. tones.(a) *. float_of_int k))
-    m;
-  !w
-
-(* in-place 1-D transforms along one axis of a complex field *)
-let transform_axis ~inverse dims a (field : Cvec.t) =
-  let s = stride dims a in
-  let n_a = dims.(a) in
-  let tot = total dims in
-  let lines = tot / n_a in
-  (* enumerate line bases: all flat indices with m.(a) = 0 *)
-  let line = Cvec.create n_a in
-  for l = 0 to lines - 1 do
-    (* decompose l into (outer, inner) around axis a *)
-    let inner = l mod s in
-    let outer = l / s in
-    let base = (outer * s * n_a) + inner in
-    for i = 0 to n_a - 1 do
-      line.(i) <- field.(base + (i * s))
-    done;
-    let out = if inverse then Fft.inverse line else Fft.forward line in
-    for i = 0 to n_a - 1 do
-      field.(base + (i * s)) <- out.(i)
-    done
-  done
-
-let fftn dims (real_field : Vec.t) =
-  let f = Cvec.of_real real_field in
-  for a = 0 to Array.length dims - 1 do
-    transform_axis ~inverse:false dims a f
-  done;
-  f
-
-let ifftn_real dims (spec : Cvec.t) =
-  let f = Cvec.copy spec in
-  for a = 0 to Array.length dims - 1 do
-    transform_axis ~inverse:true dims a f
-  done;
-  Cvec.real f
-
-(* spectral application of sum_a d/dt_a to one unknown's field *)
-let diffn ~tones ~dims (field : Vec.t) =
-  let spec = fftn dims field in
-  for flat = 0 to total dims - 1 do
-    let m = unflatten dims flat in
-    let w = bin_omega ~tones ~dims m in
-    spec.(flat) <- Cx.( *: ) (Cx.im w) spec.(flat)
-  done;
-  ifftn_real dims spec
-
-(* ------------------------------------------------------------- assembly *)
-
-let point ~n (x : Vec.t) flat = Array.init n (fun k -> x.((flat * n) + k))
-
-let grid_times ~tones ~dims flat =
-  let m = unflatten dims flat in
-  Array.mapi
-    (fun a ka -> float_of_int ka /. (tones.(a) *. float_of_int dims.(a)))
-    m
-
-let residual_vec c ~options ~tones (x : Vec.t) =
-  let dims = options.dims in
-  let n = Mna.size c in
-  let tot = total dims in
-  let r = Vec.create (tot * n) in
-  let qs = Mat.make tot n in
-  for flat = 0 to tot - 1 do
-    let xp = point ~n x flat in
-    Mat.set_row qs flat (Mna.eval_q c xp);
-    let fv = Mna.eval_f c xp in
-    let bv = Mpde.eval_bn c ~tones (grid_times ~tones ~dims flat) in
-    for k = 0 to n - 1 do
-      r.((flat * n) + k) <- fv.(k) -. bv.(k)
-    done
-  done;
-  for k = 0 to n - 1 do
-    let field = Vec.init tot (fun flat -> Mat.get qs flat k) in
-    let dq = diffn ~tones ~dims field in
-    for flat = 0 to tot - 1 do
-      r.((flat * n) + k) <- r.((flat * n) + k) +. dq.(flat)
-    done
-  done;
-  r
-
-let apply_jacobian c ~options ~tones ~cs ~gs (v : Vec.t) =
-  let dims = options.dims in
-  let n = Mna.size c in
-  let tot = total dims in
-  let out = Vec.create (tot * n) in
-  let cv = Mat.make tot n in
-  for flat = 0 to tot - 1 do
-    let vp = point ~n v flat in
-    Mat.set_row cv flat (Sparse.matvec (cs : Sparse.t array).(flat) vp);
-    let gv = Sparse.matvec (gs : Sparse.t array).(flat) vp in
-    for k = 0 to n - 1 do
-      out.((flat * n) + k) <- gv.(k)
-    done
-  done;
-  for k = 0 to n - 1 do
-    let field = Vec.init tot (fun flat -> Mat.get cv flat k) in
-    let dq = diffn ~tones ~dims field in
-    for flat = 0 to tot - 1 do
-      out.((flat * n) + k) <- out.((flat * n) + k) +. dq.(flat)
-    done
-  done;
-  out
-
-(* sample-averaged sparse stamps: every grid point shares the cached MNA
-   pattern, so the merge never grows beyond the union pattern *)
-let average_sparse arr =
-  let tot = Array.length arr in
-  let acc = ref arr.(0) in
-  for s = 1 to tot - 1 do
-    acc := Sparse.add !acc arr.(s)
-  done;
-  Sparse.scale (1.0 /. float_of_int tot) !acc
-
-(* block-diagonal per-bin preconditioner P_m = j w_m C_avg + G_avg, each
-   block a Csparse factored by the complex Gilbert-Peierls LU. All bins
-   share one structural pattern (Csparse.scale keeps explicit entries at
-   w = 0), so the caller-held symbolic [cache] is analyzed once and every
-   other bin of every Newton iteration is a pivot-frozen refactor. *)
-let make_preconditioner ?perm ~cache ~options ~tones ~c_avg ~g_avg () =
-  let dims = options.dims in
-  let n = Sparse.rows g_avg in
-  let tot = total dims in
-  let cs = Csparse.of_real c_avg and gs = Csparse.of_real g_avg in
-  let factors =
-    Array.init tot (fun flat ->
-        let m = unflatten dims flat in
-        let w = bin_omega ~tones ~dims m in
-        let block = Csparse.add gs (Csparse.scale (Cx.im w) cs) in
-        Csparse_lu.factor_cached ?perm cache block)
-  in
-  fun (v : Vec.t) ->
-    let out = Vec.create (tot * n) in
-    let specs =
-      Array.init n (fun k -> fftn dims (Vec.init tot (fun flat -> v.((flat * n) + k))))
-    in
-    let solved = Array.make tot [||] in
-    for flat = 0 to tot - 1 do
-      let rhs = Cvec.init n (fun k -> specs.(k).(flat)) in
-      solved.(flat) <- Csparse_lu.solve factors.(flat) rhs
-    done;
-    for k = 0 to n - 1 do
-      let spec = Cvec.init tot (fun flat -> solved.(flat).(k)) in
-      let field = ifftn_real dims spec in
-      for flat = 0 to tot - 1 do
-        out.((flat * n) + k) <- field.(flat)
-      done
-    done;
-    out
-
-(* ---------------------------------------------------------------- solve *)
-
-let default_damping = 5.0
-
-let solve_core ~options ~damping ~iter_cap c ~tones =
-  let dims = options.dims in
-  let n = Mna.size c in
-  let tot = total dims in
-  let xdc =
-    match Dc.solve_outcome c with
-    | Supervisor.Converged (x, _) -> x
-    (* a typed interrupt/deadline abort must not degrade into a cold
-       zero start: re-raise so the supervisor records the cause *)
-    | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-        raise Deadline.Interrupted
-    | Supervisor.Failed
-        { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-        raise (Deadline.Expired seconds)
-    | Supervisor.Failed _ -> Vec.create n
-  in
-  let x = Vec.init (tot * n) (fun i -> xdc.(i mod n)) in
-  (* one symbolic plan for every preconditioner block of every Newton
-     iteration: the bin blocks all share the G+C union pattern *)
-  let perm = Mna.ordering_perm c in
-  let precond_cache = ref None in
-  let iters = ref 0 in
-  let gmres_total = ref 0 in
-  let res_norm = ref infinity in
-  let converged = ref false in
-  let stats () =
-    {
-      Supervisor.iterations = !iters;
-      residual = !res_norm;
-      krylov_iterations = !gmres_total;
-    }
-  in
-  let cap = min options.max_newton iter_cap in
-  try
-    while (not !converged) && !iters < cap do
-      incr iters;
-      let r = residual_vec c ~options ~tones x in
-      res_norm := Vec.norm_inf r;
-      if !res_norm <= options.tol then converged := true
-      else begin
-        let cs = Array.init tot (fun flat -> Mna.jac_c_sparse c (point ~n x flat)) in
-        let gs = Array.init tot (fun flat -> Mna.jac_g_sparse c (point ~n x flat)) in
-        let c_avg = average_sparse cs and g_avg = average_sparse gs in
-        if Faults.singular_now ~engine then raise Lu.Singular;
-        let precond =
-          make_preconditioner ?perm ~cache:precond_cache ~options ~tones ~c_avg
-            ~g_avg ()
-        in
-        let op = apply_jacobian c ~options ~tones ~cs ~gs in
-        let dx, st =
-          Krylov.gmres ~m:100 ~tol:options.gmres_tol ~max_iter:4000 ~precond op r
-        in
-        gmres_total := !gmres_total + st.Krylov.iterations;
-        if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
-          Error.fail ~engine
-            ~cause:
-              (Supervisor.Krylov_stall
-                 { iterations = st.Krylov.iterations; residual = st.Krylov.residual })
-            "HBn GMRES stalled";
-        Guard.check ~engine ~iter:!iters dx;
-        let step = Vec.norm_inf dx in
-        let damp = if step > damping then damping /. step else 1.0 in
-        Vec.axpy (-.damp) dx x
-      end
-    done;
-    if not !converged then
-      Error
-        ( Supervisor.Newton_stall { iterations = !iters; residual = !res_norm },
-          stats () )
-    else
-      Ok
-        ( {
-            circuit = c;
-            tones;
-            options;
-            grid = x;
-            newton_iters = !iters;
-            residual = !res_norm;
-            gmres_iters_total = !gmres_total;
-          },
-          stats () )
-  with
-  | Lu.Singular | Clu.Singular -> Error (Supervisor.Singular_jacobian, stats ())
-  | Krylov.Non_finite index ->
-      Error (Supervisor.Non_finite { iter = !iters; index }, stats ())
-  | Guard.Non_finite_found { iter; index } ->
-      Error (Supervisor.Non_finite { iter; index }, stats ())
-  | Error.No_convergence e -> Error (e.Error.cause, stats ())
-
 let solve_outcome ?budget ?options c ~tones =
   let options =
     match options with
@@ -317,16 +39,19 @@ let solve_outcome ?budget ?options c ~tones =
   in
   if Array.length options.dims <> Array.length tones then
     invalid_arg "Hbn.solve: dims and tones length mismatch";
-  Supervisor.run ?budget ~engine
-    ~ladder:[ Supervisor.Base; Supervisor.Tighten_damping (default_damping /. 4.0) ]
-    ~attempt:(fun strategy ~iter_cap ->
-      let damping =
-        match strategy with
-        | Supervisor.Tighten_damping d -> d
-        | _ -> default_damping
-      in
-      solve_core ~options ~damping ~iter_cap c ~tones)
-    ()
+  Hb_core.multitone ?budget ~engine
+    ~ladder:[ Supervisor.Base; Supervisor.Tighten_damping (Hb_core.default_damping /. 4.0) ]
+    ~max_newton:options.max_newton ~tol:options.tol ~gmres_tol:options.gmres_tol c ~tones
+    ~dims:options.dims (fun grid (st : Supervisor.stats) ->
+      {
+        circuit = c;
+        tones;
+        options;
+        grid;
+        newton_iters = st.iterations;
+        residual = st.residual;
+        gmres_iters_total = st.krylov_iterations;
+      })
 
 let solve ?options c ~tones =
   match solve_outcome ?options c ~tones with
@@ -335,30 +60,18 @@ let solve ?options c ~tones =
 
 let mix_amplitude res name k_vec =
   let dims = res.options.dims in
-  let n = Mna.size res.circuit in
-  let tot = total dims in
-  let idx = Mna.node res.circuit name in
-  let field = Vec.init tot (fun flat -> res.grid.((flat * n) + idx)) in
-  let spec = fftn dims field in
-  (* locate the bin of the signed mix vector *)
-  let flat = ref 0 in
-  Array.iteri
-    (fun a ka ->
-      let bin = ((ka mod dims.(a)) + dims.(a)) mod dims.(a) in
-      flat := (!flat * dims.(a)) + bin)
-    k_vec;
-  let coeff = Cx.scale (1.0 /. float_of_int tot) spec.(!flat) in
-  let all_zero = Array.for_all (fun k -> k = 0) k_vec in
-  if all_zero then Cx.abs coeff else 2.0 *. Cx.abs coeff
+  let spec = Hb_core.spectrum res.circuit ~dims res.grid name in
+  Hb_core.amplitude ~dc:(Array.for_all (fun k -> k = 0) k_vec) spec.(Hb_core.bin dims k_vec)
 
-let problem_size c ~dims = total dims * Mna.size c
+let problem_size c ~dims = Hb_core.total dims * Mna.size c
 
 let memory_estimate c ~dims =
   let n = Mna.size c in
-  let tot = total dims in
+  let tot = Hb_core.total dims in
   (* ~6 live grid-sized vectors in the Newton/GMRES loop, the per-point
-     Jacobian blocks, and the per-bin complex preconditioner factors *)
+     Jacobian blocks, and the complex preconditioner factors — one per ±m
+     bin pair, so about tot/2 of them *)
   let grid_vectors = 8 * tot * n * 6 in
   let jac_blocks = 8 * tot * n * n * 2 in
-  let precond = 16 * tot * n * n in
+  let precond = 8 * tot * n * n in
   grid_vectors + jac_blocks + precond

@@ -3,7 +3,9 @@
     The d-dimensional generalization of {!Hb2}: collocation on an
     [n_1 x ... x n_d] grid over the torus of tone phases, spectral
     differentiation applied axis by axis, Newton with matrix-implicit
-    GMRES and a block-diagonal per-mix-bin preconditioner.
+    GMRES and a block-diagonal per-mix-bin preconditioner, factored once
+    per ±m bin pair. Its collocation core is the only harmonic-balance
+    implementation: {!Hb} and {!Hb2} are its one- and two-tone presets.
 
     This engine exists chiefly to quantify the paper's Section 2.1
     caveat: "the memory and time required for Harmonic Balance simulation
@@ -45,7 +47,9 @@ val solve_outcome :
   Rfkit_circuit.Mna.t ->
   tones:float array ->
   result Rfkit_solve.Supervisor.outcome
-(** Supervised solve: base attempt, then a tightened-damping retry. *)
+(** Supervised solve: the structural pre-flight (zero attempts on a
+    singular G+C pattern), a base attempt, then a tightened-damping
+    retry. *)
 
 val solve : ?options:options -> Rfkit_circuit.Mna.t -> tones:float array -> result
 (** Exception shim over {!solve_outcome}. *)
@@ -57,6 +61,7 @@ val problem_size : Rfkit_circuit.Mna.t -> dims:int array -> int
 (** Number of unknowns: [prod dims * size circuit]. *)
 
 val memory_estimate : Rfkit_circuit.Mna.t -> dims:int array -> int
-(** Bytes for the dominant state: grid vectors plus the per-bin complex
-    preconditioner factors — the quantity that "would probably exceed
-    available memory" at four tones. *)
+(** Bytes for the dominant state: grid vectors, per-point Jacobian
+    blocks and the complex preconditioner factors (one per ±m bin pair)
+    — the quantity that "would probably exceed available memory" at four
+    tones. *)

@@ -286,6 +286,29 @@ let test_budget_and_stop () =
   check_bool "stop_when converges early" true
     (r.Optim.reason = Optim.Converged && r.Optim.evaluations <= 3)
 
+(* the two ways a first settle stops short of a bowl's minimum: for the
+   bowl at (0.11, 0.62) the simplex collapses onto the clipped wall x = 0,
+   and for the bowl at (0.25, 0.25) it settles after 9 evaluations with
+   every vertex on one level set, best at (0.375, 0.125) *)
+let test_no_false_convergence () =
+  let lo = [| 0.0; 0.0 |] and hi = [| 1.0; 1.0 |] in
+  let options = { Optim.default_options with max_evals = 500; tol_x = 1e-4 } in
+  List.iter
+    (fun (cx, cy) ->
+      let f x = ((x.(0) -. cx) ** 2.0) +. ((x.(1) -. cy) ** 2.0) in
+      List.iter
+        (fun (name, minimize) ->
+          let r : Optim.result = minimize ~options ~lo ~hi ~f [| 0.5; 0.5 |] in
+          let at = Printf.sprintf "%s, bowl at (%g, %g)" name cx cy in
+          check_bool (at ^ ": converged") true (r.Optim.reason = Optim.Converged);
+          checkf 0.02 (at ^ ": x") cx r.Optim.best_x.(0);
+          checkf 0.02 (at ^ ": y") cy r.Optim.best_x.(1))
+        [
+          ("nelder-mead", fun ~options -> Optim.nelder_mead ~options ?stop_when:None);
+          ("pattern", fun ~options -> Optim.pattern_search ~options ?stop_when:None);
+        ])
+    [ (0.11, 0.62); (0.25, 0.25) ]
+
 (* ------------------------------------------------------ the closed loop -- *)
 
 let divider_deck =
@@ -441,6 +464,7 @@ let suite =
         Alcotest.test_case "rosenbrock" `Quick test_rosenbrock;
         Alcotest.test_case "box constraint" `Quick test_box_constraint;
         Alcotest.test_case "budget and stop_when" `Quick test_budget_and_stop;
+        Alcotest.test_case "no false convergence" `Quick test_no_false_convergence;
         Alcotest.test_case "var grammar" `Quick test_var_grammar;
       ] );
     ( "opt.loop",

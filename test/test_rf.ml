@@ -124,6 +124,19 @@ let test_hb_residual_of_solution () =
   Alcotest.(check bool) "residual small" true
     (Hb.residual_norm c ~freq res.Hb.samples < 1e-8)
 
+let test_hb_warm_start_keeps_deadline () =
+  (* with every source at zero the cold zero start is already the
+     solution, so only the transient warm start passing on its DC step's
+     Deadline_exceeded can stop this solve *)
+  let c = rc_lowpass ~ampl:0.0 ~freq:1e6 in
+  let module D = Rfkit_solve.Deadline in
+  let module Sup = Rfkit_solve.Supervisor in
+  D.arm ~seconds:(-1.0);
+  match Fun.protect ~finally:D.disarm (fun () -> Hb.solve_outcome c ~freq:1e6) with
+  | Sup.Failed { Sup.cause = Sup.Deadline_exceeded _; _ } -> ()
+  | Sup.Failed f -> Alcotest.failf "wrong cause: %s" (Sup.cause_to_string f.Sup.cause)
+  | Sup.Converged _ -> Alcotest.fail "converged past an expired deadline"
+
 (* ------------------------------------------------------------- Shooting *)
 
 let test_shooting_matches_hb () =
@@ -444,6 +457,25 @@ let test_hbn_matches_hb2 () =
         a2 an)
     [ (1, 0); (0, 1); (2, 1); (1, 2); (3, 0) ]
 
+let test_hbn_one_tone_matches_hb () =
+  (* d = 1 is the one-tone engine: same grid, same harmonics *)
+  let freq = 1e6 in
+  let c = rectifier ~freq in
+  let hb =
+    Hb.solve ~options:{ Hb.default_options with solver = Hb.Matrix_free_gmres } c ~freq
+  in
+  let hbn =
+    Hbn.solve
+      ~options:{ Hbn.dims = [| 32 |]; max_newton = 60; tol = 1e-9; gmres_tol = 1e-12 }
+      c ~tones:[| freq |]
+  in
+  for k = 0 to 3 do
+    check_float ~eps:1e-6
+      (Printf.sprintf "harmonic %d" k)
+      (Hb.harmonic_amplitude hb "out" k)
+      (Hbn.mix_amplitude hbn "out" [| k |])
+  done
+
 let test_hbn_three_tone_im3 () =
   (* two closely spaced RF tones through a cubic compressor then an ideal
      mixer: the classic two-tone IM3 test needing a third (LO) tone *)
@@ -694,6 +726,35 @@ let qcheck_suite =
             if Vec.norm_inf (Vec.sub b1 b2) > 1e-12 then ok := false)
           [ 0.0; 3.3e-5; 8.9e-5 ];
         !ok);
+    (* odd axes have no Nyquist bin and pair every nonzero bin with its
+       mirror, so they exercise the preconditioner's conjugate halving *)
+    Test.make ~name:"hbn: linear RC lowpass matches ac at every tone, odd and even grids"
+      ~count:20
+      (QCheck.make
+         Gen.(pair (int_range 1 3) (array_size (return 3) (int_range 3 9)))
+         ~print:Print.(pair int (array int)))
+      (fun (d, axis_dims) ->
+        let tones = Array.sub [| 1.0e5; 1.37e5; 2.11e5 |] 0 d in
+        let ampls = Array.sub [| 1.0; 0.6; 0.3 |] 0 d in
+        let dims = Array.sub axis_dims 0 d in
+        let nl = Netlist.create () in
+        Netlist.vsource nl "V1" "in" "0"
+          (Wave.Sum (Array.to_list (Array.map2 Wave.sine ampls tones)));
+        Netlist.resistor nl "R1" "in" "out" 1e3;
+        Netlist.capacitor nl "C1" "out" "0" 1e-9;
+        let c = Mna.build nl in
+        let res =
+          Hbn.solve
+            ~options:{ Hbn.dims; max_newton = 20; tol = 1e-9; gmres_tol = 1e-12 }
+            c ~tones
+        in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i f ->
+               let ks = Array.init d (fun a -> if a = i then 1 else 0) in
+               let ac = Cx.abs (expected_rc_transfer ~freq:f) *. ampls.(i) in
+               Float.abs (Hbn.mix_amplitude res "out" ks -. ac) < 1e-6)
+             tones));
   ]
 
 let suite =
@@ -707,6 +768,7 @@ let suite =
         tc "gmres vs direct" test_hb_gmres_matches_direct;
         tc "rectifier dc" test_hb_rectifier_dc;
         tc "residual at solution" test_hb_residual_of_solution;
+        tc "warm start keeps the deadline" test_hb_warm_start_keeps_deadline;
       ] );
     ( "rf.shooting",
       [
@@ -743,6 +805,7 @@ let suite =
     ( "rf.hbn",
       [
         tc "matches hb2" test_hbn_matches_hb2;
+        tc "one tone matches hb" test_hbn_one_tone_matches_hb;
         slow "three-tone im3" test_hbn_three_tone_im3;
         tc "memory scaling" test_hbn_memory_scales_with_tones;
       ] );

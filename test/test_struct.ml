@@ -206,6 +206,26 @@ let test_tran_preflight_rejects () =
           Alcotest.(check (pair int int)) "rank/size" (2, 3) (rank, size)
       | c -> Alcotest.failf "wrong cause: %s" (Sup.cause_to_string c))
 
+let test_hb_preflight_rejects () =
+  (* the same parallel-source pair: every harmonic-balance preset shares
+     the union pre-flight, whatever its tone count, and spends nothing *)
+  let nl = Netlist.create () in
+  Netlist.vsource nl "V1" "a" "0" (Wave.Dc 1.0);
+  Netlist.vsource nl "V2" "a" "0" (Wave.Dc 1.0);
+  let c = Mna.build nl in
+  let check name = function
+    | Sup.Converged _ -> Alcotest.failf "%s: expected a structural rejection" name
+    | Sup.Failed f ->
+        (match f.Sup.cause with
+        | Sup.Structurally_singular { rank; size } ->
+            Alcotest.(check (pair int int)) (name ^ " rank/size") (2, 3) (rank, size)
+        | c -> Alcotest.failf "%s: wrong cause: %s" name (Sup.cause_to_string c));
+        Alcotest.(check int) (name ^ " zero attempts") 0 (List.length f.Sup.f_attempts)
+  in
+  check "hb" (Rfkit_rf.Hb.solve_outcome c ~freq:1e6);
+  check "hb2" (Rfkit_rf.Hb2.solve_outcome c ~f1:1e3 ~f2:1e6);
+  check "hbn" (Rfkit_rf.Hbn.solve_outcome c ~tones:[| 1e3; 1e6; 3.7e6 |])
+
 let test_shipped_decks_ordering_agreement () =
   List.iter
     (fun path ->
@@ -340,6 +360,7 @@ let suite =
       [
         tc "dc rejects before factorizing" test_dc_preflight_rejects;
         tc "tran rejects on the union pattern" test_tran_preflight_rejects;
+        tc "hb presets reject at every tone count" test_hb_preflight_rejects;
       ] );
     ("struct.properties", List.map QCheck_alcotest.to_alcotest qcheck_suite);
   ]
