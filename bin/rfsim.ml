@@ -17,9 +17,10 @@
    DC, transient and HB results are certified a posteriori (independent
    re-evaluation of the residuals; see Solve.Certify) unless --no-certify
    is given; --certify-scale multiplies every certification threshold.
-   --cascade runs HB through the full PSS fallback chain
-   (hb -> hb-gmres -> shooting -> tran-fft) and prints the escalation
-   trace.
+   HB runs Newton with matrix-implicit GMRES by default (--solver direct
+   selects the dense flattened Jacobian); --cascade runs HB through the
+   full PSS fallback chain (hb-gmres -> shooting -> tran-fft) and prints
+   the escalation trace.
 
    Exit codes: 0 success; 1 usage or deck parse error; 2 lint fatal;
    3 convergence failure (the attempt ladder is printed on stderr);
@@ -258,7 +259,7 @@ let print_harmonics ~freq ~harmonics amplitude =
   done
 
 let run_hb ?(certify = { enabled = true; tol_scale = 1.0 })
-    ?(solver = Rf.Hb.Direct) c ~freq ~node ~harmonics =
+    ?(solver = Rf.Hb.Matrix_free_gmres) c ~freq ~node ~harmonics =
   let res =
     match
       Rf.Hb.solve_outcome
@@ -371,7 +372,7 @@ let cascade_arg =
     value & flag
     & info [ "cascade" ]
         ~doc:
-          "Run the engine-agnostic PSS cascade (hb, hb-gmres, shooting, \
+          "Run the engine-agnostic PSS cascade (hb-gmres, shooting, \
            tran-fft) instead of bare HB: each engine exhausts its retry \
            ladder before the chain escalates, and the escalation trace is \
            printed with the result.")
@@ -588,12 +589,14 @@ let hb_cmd =
       Arg.enum [ ("direct", Rf.Hb.Direct); ("gmres", Rf.Hb.Matrix_free_gmres) ]
     in
     Arg.(
-      value & opt solver_conv Rf.Hb.Direct
+      value & opt solver_conv Rf.Hb.Matrix_free_gmres
       & info [ "solver" ] ~docv:"SOLVER"
           ~doc:
-            "Inner linear solver for the HB Newton steps: $(b,direct) \
-             (dense flattened Jacobian) or $(b,gmres) (matrix-free with the \
-             per-harmonic complex-sparse block preconditioner).")
+            "Inner linear solver for the HB Newton steps: $(b,gmres) \
+             (matrix-free with the per-harmonic complex-sparse block \
+             preconditioner; the default) or $(b,direct) (dense flattened \
+             Jacobian, whose cost grows as (samples x unknowns)^3: a \
+             reference for small circuits). Ignored with --cascade.")
   in
   let run path no_lint freq harmonics node inject cascade no_certify scale stats
       ordering solver =

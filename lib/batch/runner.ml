@@ -279,18 +279,25 @@ let budget_tag = function
       Printf.sprintf "budget=%d:%d:%.9g" b.Sup.attempt_iterations
         b.Sup.total_iterations b.Sup.wall_clock
 
+(* hb jobs name their winning engine, so an edit to the PSS chain must
+   invalidate their entries; keys of the other analyses stay unchanged *)
+let pss_chain_tag =
+  "pss-chain="
+  ^ String.concat "," (List.map Rf.Pss.stage_engine (Rf.Pss.default_chain ()))
+
 let job_key cfg (job : Expand.job) =
   Cache.key ~deck_text:cfg.deck_text ~params:job.Expand.params
     ~analysis_tag:(Spec.analysis_tag job.Expand.analysis)
     ~options:
-      [
-        "node=" ^ cfg.node;
-        budget_tag cfg.budget;
-        Printf.sprintf "certify-scale=%.9g" cfg.tol_scale;
-        (* orderings permute the elimination, perturbing results in the
-           last float digits: cached payloads must not cross modes *)
-        "ordering=" ^ Rfkit_struct.Order.mode_to_string cfg.ordering;
-      ]
+      ([
+         "node=" ^ cfg.node;
+         budget_tag cfg.budget;
+         Printf.sprintf "certify-scale=%.9g" cfg.tol_scale;
+         (* orderings permute the elimination, perturbing results in the
+            last float digits: cached payloads must not cross modes *)
+         "ordering=" ^ Rfkit_struct.Order.mode_to_string cfg.ordering;
+       ]
+      @ match job.Expand.analysis with Spec.Hb _ -> [ pss_chain_tag ] | _ -> [])
 
 let status_name = function Ok -> "ok" | Suspect -> "suspect" | Failed -> "failed"
 

@@ -72,7 +72,9 @@ val request_stop : grace:float -> unit
     clock; see {!Rfkit_solve.Deadline.begin_drain}. *)
 
 val job_key : config -> Expand.job -> string
-(** The job's content-addressed cache key (exposed for tests). *)
+(** The job's content-addressed cache key (exposed for tests). Keys of
+    hb jobs also cover the engine names of {!Rfkit_rf.Pss.default_chain},
+    so a chain edit invalidates their cached payloads. *)
 
 val run_one :
   config ->

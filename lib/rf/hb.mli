@@ -12,7 +12,10 @@
     system; the linear solves are either direct (dense, small circuits) or
     {b matrix-implicit GMRES with a block-diagonal per-harmonic complex
     preconditioner} — the scalable scheme the paper credits for making HB
-    viable on full RF ICs ([10, 31] in the text).
+    viable on full RF ICs ([10, 31] in the text). {!default_options} keeps
+    [Direct], but the PSS cascade ({!Pss.default_chain}), batch hb jobs
+    and [rfsim hb] all use GMRES; the dense path runs only when a caller
+    asks for [Direct], e.g. as the reference in tests and ablations.
 
     This is the one-tone preset of the collocation core shared with
     {!Hb2} and {!Hbn}; it alone reaches the dense direct solver, the

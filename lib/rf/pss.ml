@@ -57,7 +57,6 @@ let stage_engine = function
 
 let default_chain ?(n_samples = Hb.default_options.Hb.n_samples) () =
   [
-    Hb_stage { Hb.default_options with Hb.n_samples };
     Hb_stage
       { Hb.default_options with Hb.n_samples; solver = Hb.Matrix_free_gmres };
     Shooting_stage Shooting.default_options;

@@ -4,11 +4,14 @@
     interchangeable ways to reach the same periodic solution, each with
     its own failure modes. This module makes that interchangeability
     operational: a {e problem} (circuit + fundamental) runs through a
-    {!Rfkit_solve.Cascade} of engines — harmonic balance with a direct
-    solve, HB with matrix-implicit GMRES, shooting, and finally a brute
-    transient settled over many periods and resampled ("Tran+FFT") — each
-    under its own full retry ladder, escalating only when a ladder is
-    exhausted, with one shared wall-clock budget.
+    {!Rfkit_solve.Cascade} of engines — harmonic balance with
+    matrix-implicit GMRES and the per-harmonic preconditioner, shooting,
+    and finally a brute transient settled over many periods and resampled
+    ("Tran+FFT") — each under its own full retry ladder, escalating only
+    when a ladder is exhausted, with one shared wall-clock budget. HB with
+    the dense direct solve is a stage a caller can put in an explicit
+    [chain]; the default chain leaves it out, since its
+    [(samples * n)^2] Jacobian does not scale.
 
     Whatever engine wins is translated into a common {!solution} (one
     period of uniform samples of every unknown), and {!certify} attaches
@@ -17,7 +20,7 @@
 
 type solution = {
   circuit : Rfkit_circuit.Mna.t;
-  engine : string;  (** "hb" | "hb-gmres" | "shooting" | "tran-fft" *)
+  engine : string;  (** "hb" (either HB solver) | "shooting" | "tran-fft" *)
   freq : float;
   times : Rfkit_la.Vec.t;
   samples : Rfkit_la.Mat.t;  (** rows: uniform samples over one period;
@@ -43,7 +46,9 @@ type stage_spec =
 val stage_engine : stage_spec -> string
 
 val default_chain : ?n_samples:int -> unit -> stage_spec list
-(** hb -> hb-gmres -> shooting -> tran-fft. *)
+(** hb-gmres -> shooting -> tran-fft. The HB stage is
+    {!Hb.default_options} with [n_samples] and the
+    [Matrix_free_gmres] solver. *)
 
 val solve_outcome :
   ?budget:Rfkit_solve.Supervisor.budget ->

@@ -282,6 +282,43 @@ let test_runner_cache_rerun () =
   check_int "eviction recorded" 1 (Cache.stats cache).Cache.evictions;
   check_bool "entry rewritten" true (Sys.file_exists entry)
 
+(* The PSS stage list is in the key of hb jobs only: a cache filled under
+   another chain must not serve hb payloads naming that chain's winner,
+   while dc/ac/tran/shooting keys keep the field list they always had. *)
+let test_job_key_pss_chain () =
+  let cfg = sweep_cfg () in
+  let axes = [ Spec.parse_axis "R1=1k" ] in
+  let analyses =
+    [
+      Spec.Dc;
+      Spec.Ac { f_start = 1e3; f_stop = 1e6; points_per_decade = 3 };
+      Spec.Tran { t_stop = 1e-6; dt = 1e-9 };
+      Spec.Shooting { freq = Some 1e6; steps = 64 };
+      Spec.Hb { freq = Some 1e6; harmonics = 4 };
+    ]
+  in
+  let jobs = Expand.expand ~axes ~corners:[] ~analyses in
+  (* the option fields every analysis keys on, plus [extra] *)
+  let key_with (job : Expand.job) extra =
+    Cache.key ~deck_text:sweep_deck ~params:job.Expand.params
+      ~analysis_tag:(Spec.analysis_tag job.Expand.analysis)
+      ~options:
+        ([ "node=out"; "budget=default"; "certify-scale=1"; "ordering=natural" ]
+        @ extra)
+  in
+  List.iter
+    (fun (job : Expand.job) ->
+      let key = Runner.job_key cfg job in
+      match job.Expand.analysis with
+      | Spec.Hb _ ->
+          check_bool "hb key covers the pss chain" true (key <> key_with job []);
+          check_str "hb key names the default chain"
+            (key_with job [ "pss-chain=hb-gmres,shooting,tran-fft" ])
+            key
+      | analysis ->
+          check_str (Spec.analysis_name analysis ^ " key unchanged") (key_with job []) key)
+    jobs
+
 let test_failed_job_does_not_kill_sweep () =
   (* hb on a deck with no periodic source: that job fails, dc succeeds *)
   let axes = [ Spec.parse_axis "R1=1k" ] in
@@ -722,6 +759,7 @@ let suite =
         Alcotest.test_case "jobs=1 vs jobs=4" `Quick test_jobs1_vs_jobs4_identical;
         QCheck_alcotest.to_alcotest qcheck_jobs_determinism;
         Alcotest.test_case "cache rerun + heal" `Quick test_runner_cache_rerun;
+        Alcotest.test_case "pss chain keys hb jobs only" `Quick test_job_key_pss_chain;
         Alcotest.test_case "failed job isolated" `Quick test_failed_job_does_not_kill_sweep;
         Alcotest.test_case "telemetry log" `Quick test_telemetry_log;
       ] );

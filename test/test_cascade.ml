@@ -42,10 +42,10 @@ let test_cascade_recovers_via_shooting () =
   | Cascade.Completed (sol, r) ->
       Alcotest.(check string) "winner engine" "shooting" r.Cascade.winner;
       Alcotest.(check string) "solution engine" "shooting" sol.Pss.engine;
-      Alcotest.(check int) "winner rank" 3 r.Cascade.winner_rank;
-      Alcotest.(check int) "stages tried" 3 r.Cascade.stages_tried;
+      Alcotest.(check int) "winner rank" 2 r.Cascade.winner_rank;
+      Alcotest.(check int) "stages tried" 2 r.Cascade.stages_tried;
       Alcotest.(check (list string))
-        "both HB formulations traced" [ "hb"; "hb-gmres" ]
+        "the HB stage traced" [ "hb-gmres" ]
         (List.map (fun e -> e.Cascade.from_engine) r.Cascade.escalations);
       List.iter
         (fun (e : Cascade.escalation) ->
@@ -102,13 +102,14 @@ let test_fault_scope_per_engine () =
   match outcome with
   | Cascade.Exhausted f -> Alcotest.fail (Cascade.failure_to_string f)
   | Cascade.Completed (_, r) ->
-      Alcotest.(check string) "hb wins untouched" "hb" r.Cascade.winner;
+      Alcotest.(check string) "hb-gmres wins untouched" "hb-gmres" r.Cascade.winner;
       Alcotest.(check int) "no escalations" 0 (List.length r.Cascade.escalations)
 
-(* ------------------------------------------- two-engine certification *)
+(* ------------------------------------------------ default PSS chain *)
 
-let solve_hb c =
-  match Hb.solve_outcome c ~freq with
+(* Hb.default_options: the dense Direct solve *)
+let solve_hb ?options c =
+  match Hb.solve_outcome ?options c ~freq with
   | Supervisor.Converged (r, _) -> Pss.of_hb r
   | Supervisor.Failed f -> Alcotest.fail (Supervisor.failure_to_string f)
 
@@ -116,6 +117,77 @@ let solve_shooting c =
   match Shooting.solve_outcome c ~freq with
   | Supervisor.Converged (r, _) -> Pss.of_shooting r
   | Supervisor.Failed f -> Alcotest.fail (Supervisor.failure_to_string f)
+
+let test_default_chain_engines () =
+  Alcotest.(check (list string))
+    "hb-gmres -> shooting -> tran-fft"
+    [ "hb-gmres"; "shooting"; "tran-fft" ]
+    (List.map Pss.stage_engine (Pss.default_chain ()))
+
+(* largest deviation of harmonics 0..4 at [node], relative to the largest
+   of those amplitudes in [reference] *)
+let spectrum_deviation ~node sol reference =
+  let amp s k = Pss.harmonic_amplitude s node k in
+  let ks = List.init 5 Fun.id in
+  let scale = List.fold_left (fun m k -> Float.max m (amp reference k)) 0.0 ks in
+  List.fold_left
+    (fun m k -> Float.max m (Float.abs (amp sol k -. amp reference k)))
+    0.0 ks
+  /. scale
+
+(* the dense Direct path stays reachable as the reference for the default
+   matrix-implicit stage *)
+let test_default_chain_matches_direct () =
+  let c = rectifier () in
+  match Pss.solve_outcome c ~freq with
+  | Cascade.Exhausted f -> Alcotest.fail (Cascade.failure_to_string f)
+  | Cascade.Completed (sol, r) ->
+      Alcotest.(check string) "winner engine" "hb-gmres" r.Cascade.winner;
+      Alcotest.(check int) "winner rank" 1 r.Cascade.winner_rank;
+      let direct = solve_hb c in
+      let dev = spectrum_deviation ~node:"out" sol direct in
+      Alcotest.(check bool)
+        (Printf.sprintf "harmonics 0-4 at out match Direct: %.3e" dev)
+        true (dev <= 1e-6)
+
+(* RC-diode ladder driven by a biased sine: series 200 ohm, shunt diode,
+   shunt load [rl] and shunt cap [cs] per stage *)
+let rc_diode_ladder ~stages ~rl ~cs =
+  let nl = Netlist.create () in
+  Netlist.vsource nl "V1" "n0" "0" (Wave.sine ~offset:1.5 0.3 freq);
+  for k = 1 to stages do
+    let n = Printf.sprintf "n%d" k in
+    Netlist.resistor nl (Printf.sprintf "R%d" k) (Printf.sprintf "n%d" (k - 1)) n 200.0;
+    Netlist.diode nl (Printf.sprintf "D%d" k) n "0" ~is:1e-14 ();
+    Netlist.resistor nl (Printf.sprintf "RS%d" k) n "0" rl;
+    Netlist.capacitor nl (Printf.sprintf "C%d" k) n "0" cs
+  done;
+  Mna.build nl
+
+let qcheck_default_chain_vs_direct =
+  QCheck.Test.make ~name:"default cascade agrees with dense HB on RC-diode ladders"
+    ~count:6
+    (* no shrinker: the draws stay inside the generated ranges *)
+    (QCheck.make
+       ~print:QCheck.Print.(triple int float float)
+       QCheck.Gen.(
+         triple (int_range 4 12) (float_range 1e3 1e5) (float_range 1e-13 1e-11)))
+    (fun (stages, rl, cs) ->
+      let c = rc_diode_ladder ~stages ~rl ~cs in
+      let n_samples = Fft.next_pow2 (4 * 4) in
+      let node = Printf.sprintf "n%d" stages in
+      match Pss.solve_outcome ~chain:(Pss.default_chain ~n_samples ()) c ~freq with
+      | Cascade.Exhausted f -> QCheck.Test.fail_report (Cascade.failure_to_string f)
+      | Cascade.Completed (sol, _) ->
+          let direct = solve_hb ~options:{ Hb.default_options with Hb.n_samples } c in
+          let dev = spectrum_deviation ~node sol direct in
+          if dev > 1e-6 then
+            QCheck.Test.fail_reportf "harmonics 0-4 at %s deviate by %.3e" node dev;
+          List.for_all
+            (fun s -> Certify.is_certified (Pss.certify s))
+            [ sol; direct ])
+
+(* ------------------------------------------- two-engine certification *)
 
 let test_hb_shooting_cross_certify () =
   let c = rectifier () in
@@ -320,6 +392,10 @@ let suite =
           test_fault_scope_per_engine;
         Alcotest.test_case "qpss: sabotaged MMFT escalates to MFDTD" `Slow
           test_qpss_cascade_recovers;
+        Alcotest.test_case "default chain is hb-gmres, shooting, tran-fft"
+          `Quick test_default_chain_engines;
+        Alcotest.test_case "default chain matches dense HB on the rectifier"
+          `Slow test_default_chain_matches_direct;
       ] );
     ( "certify",
       [
@@ -342,5 +418,10 @@ let suite =
           `Quick test_em_shim_raises_typed;
       ] );
     ( "cascade.properties",
-      List.map QCheck_alcotest.to_alcotest [ qcheck_cascade_deterministic ] );
+      List.map QCheck_alcotest.to_alcotest [ qcheck_cascade_deterministic ]
+      @ [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 13 |])
+            qcheck_default_chain_vs_direct;
+        ] );
   ]
