@@ -188,6 +188,29 @@ let print_nodes nl =
   let names = List.init (Netlist.node_count nl) (Netlist.node_name nl) in
   String.concat ", " names
 
+(* An output node names an unknown to read, never one to create: an
+   unknown name or ground is a usage error, reported before any numerics
+   run (a lookup that created the node would alias the first branch
+   current). *)
+let require_node nl name =
+  match Netlist.find_node nl name with
+  | Some i when i <> Netlist.gnd -> ()
+  | found ->
+      Printf.eprintf "rfsim: output node %s: %s (deck nodes: %s)\n" name
+        (if found = None then "no such node in the deck"
+         else "ground is the reference, not an unknown")
+        (print_nodes nl);
+      exit exit_parse
+
+(* sweeps read the output node for every analysis but dc *)
+let require_sweep_node ~path ~overrides deck_text node analyses =
+  if List.exists (function Batch.Spec.Dc -> false | _ -> true) analyses then
+    match Deck.parse_string ~overrides deck_text with
+    | exception Deck.Parse_error (line, msg) ->
+        Printf.eprintf "%s:%d: %s\n" path line msg;
+        exit exit_parse
+    | nl, _ -> require_node nl node
+
 let run_dc ?(certify = { enabled = true; tol_scale = 1.0 }) c =
   let x =
     match Dc.solve_outcome c with
@@ -307,7 +330,10 @@ let deck_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"DECK" ~doc:"Netlist deck file.")
 
 let node_arg default =
-  Arg.(value & opt string default & info [ "node" ] ~docv:"NODE" ~doc:"Output node.")
+  Arg.(
+    value & opt string default
+    & info [ "node" ] ~docv:"NODE"
+        ~doc:"Output node: a non-ground node of the deck (else exit 1).")
 
 let no_lint_arg =
   Arg.(
@@ -530,6 +556,7 @@ let tran_cmd =
   let run path no_lint t_stop dt node no_certify scale stats ordering =
     install_single_run_signals ();
     let nl, _ = load ~no_lint path in
+    require_node nl node;
     set_stats stats;
     let c = Mna.build nl in
     Mna.set_ordering c ordering;
@@ -549,6 +576,7 @@ let ac_cmd =
   let run path no_lint f_start f_stop source node stats ordering =
     install_single_run_signals ();
     let nl, _ = load ~no_lint path in
+    require_node nl node;
     set_stats stats;
     let c = Mna.build nl in
     Mna.set_ordering c ordering;
@@ -568,6 +596,7 @@ let noise_cmd =
   let run path no_lint f_start f_stop node stats ordering =
     install_single_run_signals ();
     let nl, _ = load ~no_lint path in
+    require_node nl node;
     set_stats stats;
     let c = Mna.build nl in
     Mna.set_ordering c ordering;
@@ -602,6 +631,7 @@ let hb_cmd =
       ordering solver =
     install_single_run_signals ();
     let nl, _ = load ~no_lint path in
+    require_node nl node;
     arm_injection ~engine:"hb" inject;
     set_stats stats;
     let certify = certify_mode no_certify scale in
@@ -626,6 +656,7 @@ let shooting_cmd =
   let run path no_lint freq steps harmonics node inject no_certify scale stats =
     install_single_run_signals ();
     let nl, _ = load ~no_lint path in
+    require_node nl node;
     arm_injection ~engine:"shooting" inject;
     set_stats stats;
     let certify = certify_mode no_certify scale in
@@ -659,6 +690,7 @@ let mmft_cmd =
   let run path no_lint f1 f2 k node stats =
     install_single_run_signals ();
     let nl, _ = load ~no_lint path in
+    require_node nl node;
     set_stats stats;
     let c = Mna.build nl in
     let options = { Rf.Mmft.default_options with slow_harmonics = k } in
@@ -918,12 +950,12 @@ let sweep_cmd =
     in
     (* pre-flight lint of the first sweep point: swept parameters may have
        no .param default in the deck, so the nominal parse needs them *)
+    let overrides =
+      List.map
+        (fun (a : Batch.Spec.axis) -> (a.Batch.Spec.a_name, a.Batch.Spec.a_values.(0)))
+        axes
+    in
     if not no_lint then begin
-      let overrides =
-        List.map
-          (fun (a : Batch.Spec.axis) -> (a.Batch.Spec.a_name, a.Batch.Spec.a_values.(0)))
-          axes
-      in
       match Deck.parse_string_located ~overrides deck_text with
       | exception Deck.Parse_error (line, msg) ->
           Printf.eprintf "%s:%d: %s\n" path line msg;
@@ -938,6 +970,7 @@ let sweep_cmd =
             exit exit_lint
           end
     end;
+    require_sweep_node ~path ~overrides deck_text node analyses;
     let job_list = Batch.Expand.expand ~axes ~corners ~analyses in
     let budget = budget_of job_iters job_wall in
     if stats then La.Sparse_lu.reset_counts ();
@@ -1300,10 +1333,10 @@ let optimize_cmd =
     in
     (* pre-flight lint at the initial point: optimized parameters may
        have no .param default in the deck *)
+    let overrides =
+      List.map (fun v -> (v.Opt.Loop.v_name, v.Opt.Loop.v_init)) vars
+    in
     if not no_lint then begin
-      let overrides =
-        List.map (fun v -> (v.Opt.Loop.v_name, v.Opt.Loop.v_init)) vars
-      in
       match Deck.parse_string_located ~overrides deck_text with
       | exception Deck.Parse_error (line, msg) ->
           Printf.eprintf "%s:%d: %s\n" path line msg;
@@ -1319,6 +1352,7 @@ let optimize_cmd =
             exit exit_lint
           end
     end;
+    require_sweep_node ~path ~overrides deck_text node [ analysis ];
     let cache_dir = Option.value resume ~default:cache_dir in
     if resume <> None && no_cache then begin
       Printf.eprintf "optimize: --resume needs the cache (drop --no-cache)\n";
@@ -1852,6 +1886,13 @@ let run_cmd =
     in
     let requested = List.concat_map print_nodes_of directives in
     let out_node = match requested with n :: _ -> n | [] -> "out" in
+    if
+      List.exists
+        (function
+          | Deck.Tran _ | Deck.Ac_sweep _ | Deck.Hb _ | Deck.Noise_sweep _ -> true
+          | Deck.Dc_op | Deck.Print _ | Deck.Param _ -> false)
+        directives
+    then require_node nl out_node;
     List.iter
       (fun d ->
         match d with

@@ -142,6 +142,14 @@ let execute cfg (job : Expand.job) =
   in
   let ((_, _, newton, krylov) as result) =
   match analysis with
+  | (Spec.Ac _ | Spec.Tran _ | Spec.Hb _ | Spec.Shooting _)
+    when Mna.find_node c cfg.node = None ->
+      (* the output node is looked up, never created: a typo'd name must
+         not read a branch current back as a node voltage *)
+      ( Failed,
+        payload_failed ~analysis
+          ~cause:(Printf.sprintf "unknown output node %S" cfg.node),
+        0, 0 )
   | Spec.Dc -> (
       match Dc.solve_outcome ?budget:cfg.budget c with
       | Sup.Converged (x, rep) ->
@@ -272,6 +280,89 @@ let execute cfg (job : Expand.job) =
   result
 
 (* ------------------------------------------------------------- pool -- *)
+
+(* Helper domains outlive the run that spawned them by [linger] seconds,
+   so back-to-back runs (a sweep loop, an optimizer) reuse them instead
+   of spawning and joining a domain per run: under OCaml 5.1 a process
+   that does the latter grows its heap and RSS with every spawn. A
+   helper idle past [linger] exits by itself, so single-domain code that
+   follows a sweep soon runs alone again (an idle domain makes every
+   minor GC a cross-domain handshake). *)
+let linger = 0.05
+
+type task = { work : unit -> unit; mutable active : int; mutable failure : exn option }
+
+let pool_lock = Mutex.create ()
+let task_done = Condition.create ()
+let queue : task Queue.t = Queue.create ()
+let idle_helpers = ref 0
+
+let rec helper idle_since =
+  Mutex.lock pool_lock;
+  match Queue.take_opt queue with
+  | Some t ->
+      t.active <- t.active + 1;
+      decr idle_helpers;
+      Mutex.unlock pool_lock;
+      let failure = match t.work () with () -> None | exception e -> Some e in
+      Mutex.lock pool_lock;
+      if Option.is_none t.failure then t.failure <- failure;
+      t.active <- t.active - 1;
+      incr idle_helpers;
+      Condition.broadcast task_done;
+      Mutex.unlock pool_lock;
+      helper (Unix.gettimeofday ())
+  | None ->
+      if Unix.gettimeofday () -. idle_since > linger then begin
+        decr idle_helpers;
+        Mutex.unlock pool_lock
+      end
+      else begin
+        Mutex.unlock pool_lock;
+        Unix.sleepf 2e-4;
+        helper idle_since
+      end
+
+let pool_helpers () =
+  Mutex.lock pool_lock;
+  let n = !idle_helpers in
+  Mutex.unlock pool_lock;
+  n
+
+(* run [work] on the calling domain and on [helpers] pool domains at once;
+   returns when every copy has returned, re-raising a helper's exception *)
+let parallel ~helpers work =
+  let t = { work; active = 0; failure = None } in
+  Mutex.lock pool_lock;
+  for _ = 1 to helpers do
+    Queue.add t queue
+  done;
+  let spawn = max 0 (helpers - !idle_helpers) in
+  idle_helpers := !idle_helpers + spawn;
+  Mutex.unlock pool_lock;
+  for _ = 1 to spawn do
+    match Domain.spawn (fun () -> helper (Unix.gettimeofday ())) with
+    | _ -> ()
+    | exception _ ->
+        (* no domain to spare: the run proceeds on fewer helpers *)
+        Mutex.lock pool_lock;
+        decr idle_helpers;
+        Mutex.unlock pool_lock
+  done;
+  let own = match work () with () -> None | exception e -> Some e in
+  Mutex.lock pool_lock;
+  (* copies no helper claimed are withdrawn: [work] drains a shared
+     cursor, so the calling domain has already done their share *)
+  let rest = Queue.create () in
+  Queue.iter (fun t' -> if t' != t then Queue.add t' rest) queue;
+  Queue.clear queue;
+  Queue.transfer rest queue;
+  while t.active > 0 do
+    Condition.wait task_done pool_lock
+  done;
+  Mutex.unlock pool_lock;
+  match own with Some e -> raise e | None -> Option.iter raise t.failure
+
 
 let budget_tag = function
   | None -> "budget=default"
@@ -470,10 +561,5 @@ let run cfg ~cache ~telemetry ?journal ?replay jobs =
     loop ()
   in
   let d = max 1 cfg.domains in
-  if d = 1 then worker ()
-  else begin
-    let helpers = Array.init (d - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join helpers
-  end;
+  if d = 1 then worker () else parallel ~helpers:(d - 1) worker;
   { results; interrupted = Deadline.interrupt_requested () }

@@ -87,6 +87,12 @@ val run_one :
 (** [None] when the job was killed by the drain clamp (discarded, not
     journaled). *)
 
+val pool_helpers : unit -> int
+(** Helper domains parked in {!run}'s pool between runs. A run with
+    [domains = d] uses [d - 1] helpers, reusing parked ones before
+    spawning; a helper idle for 50 ms exits, so this drops back to 0
+    shortly after the last run. *)
+
 val run :
   config ->
   cache:Cache.t ->
@@ -96,5 +102,6 @@ val run :
   Expand.job list ->
   outcome
 (** Execute all jobs (sets the process-wide interrupt action to [Note]
-    for drain semantics). The job list must be in expansion order (as
+    for drain semantics) on the calling domain plus [domains - 1] pooled
+    helper domains (see {!pool_helpers}). The job list must be in expansion order (as
     {!Expand.expand} returns it). *)

@@ -22,6 +22,23 @@ val system_at : Mna.t -> Rfkit_la.Vec.t -> float -> Rfkit_la.Cmat.t
 (** Dense lowering of {!system_op} — kept for tests and small-system
     inspection only; no solve path densifies anymore. *)
 
+val system_sparse : Mna.t -> Rfkit_la.Vec.t -> float -> Rfkit_la.Csparse.t
+(** {!system_op} lowered to CSR, stamping G and C afresh: the reference
+    form of {!system_of_stamps}. *)
+
+type stamps
+(** G and C stamped once at an operating point, on the circuit's
+    {!Mna.gc_pattern}. *)
+
+val stamp : Mna.t -> Rfkit_la.Vec.t -> stamps
+
+val system_of_stamps : stamps -> float -> Rfkit_la.Csparse.t
+(** [G + j w C] from stamps taken once per sweep. Bit-identical to
+    {!system_sparse} at the same point and frequency; its index arrays
+    are shared by every frequency, so {!Rfkit_la.Csparse_lu}'s refactor
+    recognises the pattern by physical equality. Every sweep here
+    (response, noise, two-port) stamps once and calls this per point. *)
+
 val sweep : ?x_op:Rfkit_la.Vec.t -> Mna.t -> source:string -> freqs:float array -> result
 
 val transfer : Mna.t -> result -> string -> Rfkit_la.Cx.t array

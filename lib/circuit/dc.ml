@@ -32,19 +32,9 @@ let newton ~options ~damping ~iter_cap ~gmin ~symb c b x0 =
   let kry = ref 0 in
   let max_iter = min options.max_iter iter_cap in
   let solution = ref None in
-  (* gmin conductance to ground on node rows, stamped without touching the
-     cached pattern (the G pattern carries the full diagonal) *)
-  let sparse_g () =
-    let g = Mna.jac_g_sparse c x in
-    if gmin = 0.0 then g
-    else begin
-      let d = Array.make (Mna.size c) 0.0 in
-      for i = 0 to nn - 1 do
-        d.(i) <- gmin
-      done;
-      Sparse.add g (Sparse.of_diag d)
-    end
-  in
+  (* gmin conductance to ground on node rows, added in place on the G
+     pattern's diagonal slots (the pattern carries the full diagonal) *)
+  let sparse_g () = Mna.jac_g_sparse ~gmin c x in
   let linear_solve r =
     if Faults.singular_now ~engine then raise Lu.Singular;
     match options.solver with

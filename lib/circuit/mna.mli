@@ -23,8 +23,11 @@ val voltage : t -> Rfkit_la.Vec.t -> Device.node -> float
 (** Ground-aware node voltage lookup ([0.] for ground). *)
 
 val node : t -> string -> int
-(** Unknown index of a named node.
+(** Unknown index of a named node. Never creates a node.
     @raise Not_found for unknown names or ground. *)
+
+val find_node : t -> string -> int option
+(** {!node} without the exception: [None] for unknown names and ground. *)
 
 val branch_index : t -> string -> int option
 (** Unknown index of a named voltage source / inductor's branch current. *)
@@ -48,10 +51,32 @@ val jac_c_sparse : t -> Rfkit_la.Vec.t -> Rfkit_la.Sparse.t
     (state-independent), computed once per circuit and shared across all
     Newton iterations; only the values array is fresh per call. *)
 
-val jac_g_sparse : t -> Rfkit_la.Vec.t -> Rfkit_la.Sparse.t
+val jac_g_sparse : ?gmin:float -> t -> Rfkit_la.Vec.t -> Rfkit_la.Sparse.t
 (** G(x) in CSR on the cached pattern. The pattern carries the full
     diagonal (explicit zeros where nothing stamps, e.g. voltage-source
-    branch rows) so gmin/shift stamping and ILU(0) always find a slot. *)
+    branch rows) so gmin/shift stamping and ILU(0) always find a slot.
+    [gmin] (default [0.]) is added in place to every node row's diagonal
+    slot after the devices stamp — the same values as
+    [Sparse.add g (Sparse.of_diag d)] with [d] = gmin on node rows. *)
+
+val companion : t -> Rfkit_la.Vec.t -> a_c:float -> a_g:float -> Rfkit_la.Sparse.t
+(** [companion c x ~a_c ~a_g] is [a_c C(x) + a_g G(x)], the Jacobian of
+    every implicit integration step. Values are bit-identical to
+    [Sparse.add (Sparse.scale a_c C) (Sparse.scale a_g G)]; the pattern
+    is {!gc_pattern}'s, shared (physically) by every call. *)
+
+type gc_pattern = {
+  row_ptr : int array;
+  col_idx : int array;
+  g_slot : int array;
+      (** entry k's slot in {!jac_g_sparse}'s values, [-1] if G has none *)
+  c_slot : int array;  (** likewise for {!jac_c_sparse}'s values *)
+}
+(** The union pattern G ∪ C (G's full diagonal included), computed once
+    per circuit: the structure of companion matrices and of AC systems
+    G + jωC. Read-only. *)
+
+val gc_pattern : t -> gc_pattern
 
 val jac_c_op : t -> Rfkit_la.Vec.t -> Rfkit_la.Op.t
 val jac_g_op : t -> Rfkit_la.Vec.t -> Rfkit_la.Op.t

@@ -27,25 +27,27 @@ let implicit_step ?(tol = 1e-9) ?(max_iter = 50) ?(solver = Dc.Sparse_direct)
         let j = Mat.add (Mat.scale (1.0 /. dt) cm) (Mat.scale a_g gm) in
         Lu.solve (Lu.factor j) r
     | Dc.Sparse_direct ->
-        let cm = Mna.jac_c_sparse c x and gm = Mna.jac_g_sparse c x in
-        let j = Sparse.add (Sparse.scale (1.0 /. dt) cm) (Sparse.scale a_g gm) in
+        let j = Mna.companion c x ~a_c:(1.0 /. dt) ~a_g in
         Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb j) r
     | Dc.Gmres_ilu ->
-        let cm = Mna.jac_c_sparse c x and gm = Mna.jac_g_sparse c x in
-        let j = Sparse.add (Sparse.scale (1.0 /. dt) cm) (Sparse.scale a_g gm) in
+        let j = Mna.companion c x ~a_c:(1.0 /. dt) ~a_g in
         let precond = Sparse_lu.ilu_apply (Sparse_lu.ilu0 j) in
         let dx, st = Krylov.gmres ~tol:1e-12 ~precond (Sparse.matvec j) r in
         if st.Krylov.converged then dx
         else Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb j) r
   in
+  let n = Mna.size c in
   let residual, jac =
     match method_ with
     | Backward_euler ->
         let res x =
           let q1 = Mna.eval_q c x in
           let f1 = Mna.eval_f c x in
-          Vec.init (Mna.size c) (fun i ->
-              ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. b1.(i))
+          let r = Vec.create n in
+          for i = 0 to n - 1 do
+            r.(i) <- ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. b1.(i)
+          done;
+          r
         in
         (res, jac_solve ~a_g:1.0)
     | Trapezoidal ->
@@ -54,10 +56,14 @@ let implicit_step ?(tol = 1e-9) ?(max_iter = 50) ?(solver = Dc.Sparse_direct)
         let res x =
           let q1 = Mna.eval_q c x in
           let f1 = Mna.eval_f c x in
-          Vec.init (Mna.size c) (fun i ->
+          let r = Vec.create n in
+          for i = 0 to n - 1 do
+            r.(i) <-
               ((q1.(i) -. q0.(i)) /. dt)
               +. (0.5 *. (f1.(i) +. f0.(i)))
-              -. (0.5 *. (b1.(i) +. b0.(i))))
+              -. (0.5 *. (b1.(i) +. b0.(i)))
+          done;
+          r
         in
         (res, jac_solve ~a_g:0.5)
   in
@@ -166,19 +172,22 @@ let run_adaptive ?(method_ = Trapezoidal) ?x0 ?(tol = 1e-9) ?solver
   let dt_max = match dt_max with Some v -> v | None -> t_stop /. 10.0 in
   let times = ref [ 0.0 ] and states = ref [ x0 ] in
   let t = ref 0.0 and x = ref x0 and dt = ref dt0 in
+  (* one symbolic analysis for the whole run: every step size stamps the
+     same companion pattern, and a pivot that decays re-analyzes itself *)
+  let symb = ref None in
   while !t < t_stop -. 1e-18 *. t_stop do
     let dt_k = Float.min !dt (t_stop -. !t) in
     (* one full step vs two half steps *)
     let attempt () =
       let x_full =
-        implicit_step ~tol ?solver c ~method_ ~x_prev:!x ~t_prev:!t ~dt:dt_k
+        implicit_step ~tol ?solver ~symb c ~method_ ~x_prev:!x ~t_prev:!t ~dt:dt_k
       in
       let x_half =
-        implicit_step ~tol ?solver c ~method_ ~x_prev:!x ~t_prev:!t
+        implicit_step ~tol ?solver ~symb c ~method_ ~x_prev:!x ~t_prev:!t
           ~dt:(dt_k /. 2.0)
       in
       let x_two =
-        implicit_step ~tol ?solver c ~method_ ~x_prev:x_half
+        implicit_step ~tol ?solver ~symb c ~method_ ~x_prev:x_half
           ~t_prev:(!t +. (dt_k /. 2.0)) ~dt:(dt_k /. 2.0)
       in
       (x_full, x_two)
@@ -227,24 +236,22 @@ let certify ?(tol_scale = 1.0) ?(method_ = Trapezoidal) c (res : result) =
     if dt > 0.0 then begin
       let q0 = Mna.eval_q c x0 and q1 = Mna.eval_q c x1 in
       let f1 = Mna.eval_f c x1 and b1 = Mna.eval_b c t1 in
-      let r, scale =
-        match method_ with
-        | Backward_euler ->
-            let r =
-              Vec.init (Mna.size c) (fun i ->
-                  ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. b1.(i))
-            in
-            (r, Float.max (Vec.norm_inf f1) (Vec.norm_inf b1))
-        | Trapezoidal ->
-            let f0 = Mna.eval_f c x0 and b0 = Mna.eval_b c t0 in
-            let r =
-              Vec.init (Mna.size c) (fun i ->
-                  ((q1.(i) -. q0.(i)) /. dt)
-                  +. (0.5 *. (f1.(i) +. f0.(i)))
-                  -. (0.5 *. (b1.(i) +. b0.(i))))
-            in
-            (r, Float.max (Vec.norm_inf f1) (Vec.norm_inf b1))
-      in
+      let n = Mna.size c in
+      let r = Vec.create n in
+      (match method_ with
+      | Backward_euler ->
+          for i = 0 to n - 1 do
+            r.(i) <- ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. b1.(i)
+          done
+      | Trapezoidal ->
+          let f0 = Mna.eval_f c x0 and b0 = Mna.eval_b c t0 in
+          for i = 0 to n - 1 do
+            r.(i) <-
+              ((q1.(i) -. q0.(i)) /. dt)
+              +. (0.5 *. (f1.(i) +. f0.(i)))
+              -. (0.5 *. (b1.(i) +. b0.(i)))
+          done);
+      let scale = Float.max (Vec.norm_inf f1) (Vec.norm_inf b1) in
       let scale = if scale > 0.0 then scale else 1.0 in
       worst := Float.max !worst (Vec.norm_inf r /. scale)
     end;

@@ -37,22 +37,63 @@ let reset_counts () =
   Atomic.set n_full 0;
   Atomic.set last_fill 0
 
+(* Factor values are held as split real/imaginary float arrays, and the
+   refactor and solve kernels below work on split float vectors, spelling
+   out [Complex]'s arithmetic operation for operation (same operands,
+   same order, so bit-identical to the [Cx] operators) without boxing a
+   record per flop. *)
 type t = {
   n : int;
   (* L: strictly lower triangular, unit diagonal implicit, CSC *)
   l_colptr : int array;
   l_rows : int array;
-  l_vals : Cx.t array;
+  l_re : float array;
+  l_im : float array;
   (* U: strictly upper part, CSC; diagonal separate *)
   u_colptr : int array;
   u_rows : int array;
-  u_vals : Cx.t array;
-  udiag : Cx.t array;
+  u_re : float array;
+  u_im : float array;
+  d_re : float array;
+  d_im : float array;
   pinv : int array; (* original row -> pivot position *)
   qperm : int array option;
       (* fill-reducing symmetric order: the factored matrix was
          [Csparse.permute_sym qperm a]; solves wrap the permutation *)
 }
+
+(* [Complex.mul] and [Complex.div], one component at a time *)
+let[@inline] mul_re ar ai br bi = (ar *. br) -. (ai *. bi)
+let[@inline] mul_im ar ai br bi = (ar *. bi) +. (ai *. br)
+
+let[@inline] div_re xr xi yr yi =
+  if abs_float yr >= abs_float yi then
+    let r = yi /. yr in
+    let d = yr +. (r *. yi) in
+    (xr +. (r *. xi)) /. d
+  else
+    let r = yr /. yi in
+    let d = yi +. (r *. yr) in
+    ((r *. xr) +. xi) /. d
+
+let[@inline] div_im xr xi yr yi =
+  if abs_float yr >= abs_float yi then
+    let r = yi /. yr in
+    let d = yr +. (r *. yi) in
+    (xi -. (r *. xr)) /. d
+  else
+    let r = yr /. yi in
+    let d = yi +. (r *. yr) in
+    ((r *. xi) -. xr) /. d
+
+let split (a : Cx.t array) =
+  let n = Array.length a in
+  let re = Array.make n 0.0 and im = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    re.(i) <- a.(i).re;
+    im.(i) <- a.(i).im
+  done;
+  (re, im)
 
 (* growable parallel (int, Cx.t) arrays *)
 type buf = { mutable idx : int array; mutable va : Cx.t array; mutable len : int }
@@ -166,15 +207,21 @@ let factor_core a =
   done;
   Atomic.incr n_full;
   Atomic.set last_fill (l.len + u.len + n);
+  let l_re, l_im = split (Array.sub l.va 0 l.len)
+  and u_re, u_im = split (Array.sub u.va 0 u.len)
+  and d_re, d_im = split udiag in
   {
     n;
     l_colptr;
     l_rows;
-    l_vals = Array.sub l.va 0 l.len;
+    l_re;
+    l_im;
     u_colptr;
     u_rows = Array.sub u.idx 0 u.len;
-    u_vals = Array.sub u.va 0 u.len;
-    udiag;
+    u_re;
+    u_im;
+    d_re;
+    d_im;
     pinv;
     qperm = None;
   }
@@ -184,7 +231,7 @@ let factor ?perm a =
   | None -> factor_core a
   | Some p -> { (factor_core (Csparse.permute_sym p a)) with qperm = Some p }
 
-let nnz f = Array.length f.l_vals + Array.length f.u_vals + f.n
+let nnz f = Array.length f.l_re + Array.length f.u_re + f.n
 
 (* ---- symbolic reuse across re-stamps of a fixed sparsity pattern ----
 
@@ -199,11 +246,21 @@ let nnz f = Array.length f.l_vals + Array.length f.u_vals + f.n
    previous pivots — and raises [Singular] when a frozen pivot has decayed
    below [pivot_decay] times its column magnitude, at which point the
    caller falls back to a fresh [analyze]. Same KLU-style refactorization
-   discipline as [Sparse_lu]. *)
+   discipline as [Sparse_lu], including its pattern-only scatter plan
+   ([Sparse.column_plan]): a refactor gathers a same-pattern matrix's
+   values straight from its CSR array, with no transpose or permutation
+   per call. *)
 
 type symbolic = {
   s_n : int;
-  s_nnz : int; (* nnz of the analyzed matrix: cheap same-pattern check *)
+  (* the analyzed input pattern (shared, not copied) and its scatter plan:
+     column k of the ordered matrix is rows s_at_rows.(p) holding input
+     value s_src.(p), p in s_at_ptr.(k) .. s_at_ptr.(k+1)-1 *)
+  s_row_ptr : int array;
+  s_col_idx : int array;
+  s_at_ptr : int array;
+  s_at_rows : int array;
+  s_src : int array;
   s_prow : int array; (* pivot position -> original row *)
   s_pinv : int array; (* original row -> pivot position *)
   (* structural column patterns, original-row coordinates *)
@@ -235,11 +292,11 @@ let ibuf_push b i =
   b.ib.(b.ilen) <- i;
   b.ilen <- b.ilen + 1
 
-let analyze_core a =
+let analyze ?perm a =
   let n = Csparse.rows a in
   if Csparse.cols a <> n then invalid_arg "Csparse_lu.analyze: matrix not square";
-  let at = Csparse.transpose a in
-  let at_ptr, at_rows, at_vals = Csparse.csr at in
+  let row_ptr, col_idx, vals = Csparse.csr a in
+  let at_ptr, at_rows, src = Sparse.column_plan ?perm ~n ~row_ptr ~col_idx () in
   let pinv = Array.make n (-1) in
   let prow = Array.make n (-1) in
   let x = Array.make n Cx.zero in
@@ -260,9 +317,9 @@ let analyze_core a =
         touched.(i) <- true;
         touch_list.(!nt) <- i;
         incr nt;
-        x.(i) <- at_vals.(p)
+        x.(i) <- vals.(src.(p))
       end
-      else x.(i) <- x.(i) +: at_vals.(p)
+      else x.(i) <- x.(i) +: vals.(src.(p))
     done;
     (* structural elimination: a previous column participates whenever its
        pivot row is touched, value notwithstanding, so the recorded
@@ -329,7 +386,11 @@ let analyze_core a =
   let s =
     {
       s_n = n;
-      s_nnz = Csparse.nnz a;
+      s_row_ptr = row_ptr;
+      s_col_idx = col_idx;
+      s_at_ptr = at_ptr;
+      s_at_rows = at_rows;
+      s_src = src;
       s_prow = prow;
       s_pinv = pinv;
       sl_colptr = l_colptr;
@@ -340,101 +401,124 @@ let analyze_core a =
       su_prows;
       s_dep_ptr = dep_ptr;
       s_deps = Array.sub deps.ib 0 deps.ilen;
-      s_qperm = None;
+      s_qperm = perm;
     }
   in
   Atomic.incr n_full;
   Atomic.set last_fill (l.len + u.len + n);
+  let l_re, l_im = split (Array.sub l.va 0 l.len)
+  and u_re, u_im = split (Array.sub u.va 0 u.len)
+  and d_re, d_im = split udiag in
   let f =
     {
       n;
       l_colptr;
       l_rows = sl_prows;
-      l_vals = Array.sub l.va 0 l.len;
+      l_re;
+      l_im;
       u_colptr;
       u_rows = su_prows;
-      u_vals = Array.sub u.va 0 u.len;
-      udiag;
+      u_re;
+      u_im;
+      d_re;
+      d_im;
       pinv;
-      qperm = None;
+      qperm = perm;
     }
   in
   (s, f)
 
-let analyze ?perm a =
-  match perm with
-  | None -> analyze_core a
-  | Some p ->
-      let s, f = analyze_core (Csparse.permute_sym p a) in
-      ({ s with s_qperm = Some p }, { f with qperm = Some p })
+(* the analyzed pattern: physically shared index arrays first, a
+   structural compare otherwise *)
+let same_pattern s a =
+  let row_ptr, col_idx, _ = Csparse.csr a in
+  Csparse.rows a = s.s_n
+  && Csparse.cols a = s.s_n
+  && ((row_ptr == s.s_row_ptr && col_idx == s.s_col_idx)
+     || (row_ptr = s.s_row_ptr && col_idx = s.s_col_idx))
 
-let refactor_core s a =
-  let n = Csparse.rows a in
-  if Csparse.cols a <> n || n <> s.s_n || Csparse.nnz a <> s.s_nnz then
-    invalid_arg "Csparse_lu.refactor: pattern mismatch";
-  let at = Csparse.transpose a in
-  let at_ptr, at_rows, at_vals = Csparse.csr at in
-  let x = Array.make n Cx.zero in
-  let l_vals = Array.make (Array.length s.sl_rows) Cx.zero in
-  let u_vals = Array.make (Array.length s.su_rows) Cx.zero in
-  let udiag = Array.make n Cx.zero in
+let refactor_values s (vals : Cx.t array) =
+  let n = s.s_n in
+  let xr = Array.make n 0.0 and xi = Array.make n 0.0 in
+  let nl = Array.length s.sl_rows and nu = Array.length s.su_rows in
+  let l_re = Array.make nl 0.0 and l_im = Array.make nl 0.0 in
+  let u_re = Array.make nu 0.0 and u_im = Array.make nu 0.0 in
+  let d_re = Array.make n 0.0 and d_im = Array.make n 0.0 in
   for k = 0 to n - 1 do
     (* scatter A[:,k]; its rows are a subset of the recorded reach, which
        was zeroed after the previous column *)
-    for p = at_ptr.(k) to at_ptr.(k + 1) - 1 do
-      let i = at_rows.(p) in
-      x.(i) <- x.(i) +: at_vals.(p)
+    for p = s.s_at_ptr.(k) to s.s_at_ptr.(k + 1) - 1 do
+      let i = s.s_at_rows.(p) and v = vals.(s.s_src.(p)) in
+      xr.(i) <- xr.(i) +. v.re;
+      xi.(i) <- xi.(i) +. v.im
     done;
     for dp = s.s_dep_ptr.(k) to s.s_dep_ptr.(k + 1) - 1 do
-      let kp = s.s_deps.(dp) in
-      let xv = x.(s.s_prow.(kp)) in
-      if xv <> Cx.zero then
+      let pr = s.s_prow.(s.s_deps.(dp)) in
+      let vr = xr.(pr) and vi = xi.(pr) in
+      if vr <> 0.0 || vi <> 0.0 then begin
+        let kp = s.s_deps.(dp) in
         for p = s.sl_colptr.(kp) to s.sl_colptr.(kp + 1) - 1 do
           let r = s.sl_rows.(p) in
-          x.(r) <- x.(r) -: (l_vals.(p) *: xv)
+          xr.(r) <- xr.(r) -. mul_re l_re.(p) l_im.(p) vr vi;
+          xi.(r) <- xi.(r) -. mul_im l_re.(p) l_im.(p) vr vi
         done
+      end
     done;
     let piv_row = s.s_prow.(k) in
-    let pv = x.(piv_row) in
+    let pr = xr.(piv_row) and pi = xi.(piv_row) in
     (* frozen-pivot health check against the column magnitude *)
-    let colmax = ref (Cx.abs pv) in
+    let colmax = ref (Float.hypot pr pi) in
     for p = s.sl_colptr.(k) to s.sl_colptr.(k + 1) - 1 do
-      let m = Cx.abs x.(s.sl_rows.(p)) in
+      let r = s.sl_rows.(p) in
+      let m = Float.hypot xr.(r) xi.(r) in
       if m > !colmax then colmax := m
     done;
-    if pv = Cx.zero || Cx.abs pv < pivot_decay *. !colmax then raise Singular;
-    udiag.(k) <- pv;
+    if (pr = 0.0 && pi = 0.0) || Float.hypot pr pi < pivot_decay *. !colmax then
+      raise Singular;
+    d_re.(k) <- pr;
+    d_im.(k) <- pi;
     for p = s.su_colptr.(k) to s.su_colptr.(k + 1) - 1 do
       let r = s.su_rows.(p) in
-      u_vals.(p) <- x.(r);
-      x.(r) <- Cx.zero
+      u_re.(p) <- xr.(r);
+      u_im.(p) <- xi.(r);
+      xr.(r) <- 0.0;
+      xi.(r) <- 0.0
     done;
     for p = s.sl_colptr.(k) to s.sl_colptr.(k + 1) - 1 do
       let r = s.sl_rows.(p) in
-      l_vals.(p) <- x.(r) /: pv;
-      x.(r) <- Cx.zero
+      l_re.(p) <- div_re xr.(r) xi.(r) pr pi;
+      l_im.(p) <- div_im xr.(r) xi.(r) pr pi;
+      xr.(r) <- 0.0;
+      xi.(r) <- 0.0
     done;
-    x.(piv_row) <- Cx.zero
+    xr.(piv_row) <- 0.0;
+    xi.(piv_row) <- 0.0
   done;
   Atomic.incr n_refactor;
-  Atomic.set last_fill (Array.length l_vals + Array.length u_vals + n);
+  Atomic.set last_fill (nl + nu + n);
   {
     n;
     l_colptr = s.sl_colptr;
     l_rows = s.sl_prows;
-    l_vals;
+    l_re;
+    l_im;
     u_colptr = s.su_colptr;
     u_rows = s.su_prows;
-    u_vals;
-    udiag;
+    u_re;
+    u_im;
+    d_re;
+    d_im;
     pinv = s.s_pinv;
-    qperm = None;
+    qperm = s.s_qperm;
   }
 
+let values a =
+  let _, _, v = Csparse.csr a in
+  v
+
 let refactor s a =
-  match s.s_qperm with
-  | None -> refactor_core s a
-  | Some p -> { (refactor_core s (Csparse.permute_sym p a)) with qperm = Some p }
+  if not (same_pattern s a) then invalid_arg "Csparse_lu.refactor: pattern mismatch";
+  refactor_values s (values a)
 
 let same_perm a b =
   match (a, b) with
@@ -444,10 +528,8 @@ let same_perm a b =
 
 let factor_cached ?perm cache a =
   match !cache with
-  | Some s
-    when s.s_n = Csparse.rows a && s.s_nnz = Csparse.nnz a
-         && same_perm s.s_qperm perm -> begin
-      try refactor s a
+  | Some s when same_perm s.s_qperm perm && same_pattern s a -> begin
+      try refactor_values s (values a)
       with Singular ->
         (* pivots drifted too far from the analyzed values: re-pivot *)
         let s', f = analyze ?perm a in
@@ -475,57 +557,70 @@ let apply_qperm f solve_core b =
       done;
       x
 
-let solve_core f b =
+let solve_core f (b : Cvec.t) =
   if Array.length b <> f.n then invalid_arg "Csparse_lu.solve";
   let n = f.n in
   (* y = P b *)
-  let y = Array.make n Cx.zero in
+  let yr = Array.make n 0.0 and yi = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    y.(f.pinv.(i)) <- b.(i)
+    yr.(f.pinv.(i)) <- b.(i).re;
+    yi.(f.pinv.(i)) <- b.(i).im
   done;
   (* L y' = y, unit diagonal *)
   for k = 0 to n - 1 do
-    let yk = y.(k) in
-    if yk <> Cx.zero then
+    let vr = yr.(k) and vi = yi.(k) in
+    if vr <> 0.0 || vi <> 0.0 then
       for p = f.l_colptr.(k) to f.l_colptr.(k + 1) - 1 do
-        y.(f.l_rows.(p)) <- y.(f.l_rows.(p)) -: (f.l_vals.(p) *: yk)
+        let r = f.l_rows.(p) in
+        yr.(r) <- yr.(r) -. mul_re f.l_re.(p) f.l_im.(p) vr vi;
+        yi.(r) <- yi.(r) -. mul_im f.l_re.(p) f.l_im.(p) vr vi
       done
   done;
   (* U x = y' *)
   for k = n - 1 downto 0 do
-    let xk = y.(k) /: f.udiag.(k) in
-    y.(k) <- xk;
-    if xk <> Cx.zero then
+    let vr = div_re yr.(k) yi.(k) f.d_re.(k) f.d_im.(k)
+    and vi = div_im yr.(k) yi.(k) f.d_re.(k) f.d_im.(k) in
+    yr.(k) <- vr;
+    yi.(k) <- vi;
+    if vr <> 0.0 || vi <> 0.0 then
       for p = f.u_colptr.(k) to f.u_colptr.(k + 1) - 1 do
-        y.(f.u_rows.(p)) <- y.(f.u_rows.(p)) -: (f.u_vals.(p) *: xk)
+        let r = f.u_rows.(p) in
+        yr.(r) <- yr.(r) -. mul_re f.u_re.(p) f.u_im.(p) vr vi;
+        yi.(r) <- yi.(r) -. mul_im f.u_re.(p) f.u_im.(p) vr vi
       done
   done;
-  y
+  Array.init n (fun i -> { re = yr.(i); im = yi.(i) })
 
 let solve f b = apply_qperm f (solve_core f) b
 
-let solve_transposed_core f b =
+let solve_transposed_core f (b : Cvec.t) =
   if Array.length b <> f.n then invalid_arg "Csparse_lu.solve_transposed";
   let n = f.n in
   (* U^T z = b: forward, row k of U^T is column k of U *)
-  let z = Array.make n Cx.zero in
+  let zr = Array.make n 0.0 and zi = Array.make n 0.0 in
   for k = 0 to n - 1 do
-    let s = ref b.(k) in
+    let sr = ref b.(k).re and si = ref b.(k).im in
     for p = f.u_colptr.(k) to f.u_colptr.(k + 1) - 1 do
-      s := !s -: (f.u_vals.(p) *: z.(f.u_rows.(p)))
+      let r = f.u_rows.(p) in
+      sr := !sr -. mul_re f.u_re.(p) f.u_im.(p) zr.(r) zi.(r);
+      si := !si -. mul_im f.u_re.(p) f.u_im.(p) zr.(r) zi.(r)
     done;
-    z.(k) <- !s /: f.udiag.(k)
+    zr.(k) <- div_re !sr !si f.d_re.(k) f.d_im.(k);
+    zi.(k) <- div_im !sr !si f.d_re.(k) f.d_im.(k)
   done;
   (* L^T w = z: backward, unit diagonal *)
   for k = n - 1 downto 0 do
-    let s = ref z.(k) in
+    let sr = ref zr.(k) and si = ref zi.(k) in
     for p = f.l_colptr.(k) to f.l_colptr.(k + 1) - 1 do
-      s := !s -: (f.l_vals.(p) *: z.(f.l_rows.(p)))
+      let r = f.l_rows.(p) in
+      sr := !sr -. mul_re f.l_re.(p) f.l_im.(p) zr.(r) zi.(r);
+      si := !si -. mul_im f.l_re.(p) f.l_im.(p) zr.(r) zi.(r)
     done;
-    z.(k) <- !s
+    zr.(k) <- !sr;
+    zi.(k) <- !si
   done;
   (* x = P^T w *)
-  Array.init n (fun i -> z.(f.pinv.(i)))
+  Array.init n (fun i -> { re = zr.(f.pinv.(i)); im = zi.(f.pinv.(i)) })
 
 (* (P A P^T)^T = P A^T P^T: the same symmetric wrap applies *)
 let solve_transposed f b = apply_qperm f (solve_transposed_core f) b

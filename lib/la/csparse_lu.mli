@@ -58,12 +58,16 @@ val refactor : symbolic -> Csparse.t -> t
     KLU-style fast path for same-pattern re-stamps.
     @raise Singular when a frozen pivot decayed below [1e-10] of its
     column magnitude (the caller should re-{!analyze}).
-    @raise Invalid_argument when the matrix shape/nnz does not match the
-    analyzed pattern. *)
+    Values are gathered straight from the matrix's CSR array through the
+    plan's recorded scatter (no transpose, no permutation per call).
+    @raise Invalid_argument when the matrix's pattern differs from the
+    analyzed one (checked by physical equality of the index arrays first,
+    structurally otherwise). *)
 
 val factor_cached : ?perm:int array -> symbolic option ref -> Csparse.t -> t
 (** Factor through a caller-held symbolic cache: reuse the cached plan
-    when the pattern (and requested ordering) matches, transparently
+    when the pattern (compared in full, not by nnz alone) and the
+    requested ordering match, transparently
     falling back to a fresh {!analyze} (updating the cache) on a pattern
     change, ordering change or pivot decay. An HB solve holds one cache
     for all harmonic blocks across all Newton iterations; an AC sweep one

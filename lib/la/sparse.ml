@@ -287,3 +287,14 @@ let permute_sym p m =
     done
   done;
   { nrows = n; ncols = n; row_ptr; col_idx; values }
+
+(* Indices ride through the very permute/transpose the values would take
+   (as exact floats), so the plan reproduces that path entry for entry. *)
+let column_plan ?perm ~n ~row_ptr ~col_idx () =
+  let idx =
+    of_csr ~rows:n ~cols:n ~row_ptr ~col_idx
+      ~values:(Array.init (Array.length col_idx) float_of_int)
+  in
+  let m = match perm with None -> idx | Some p -> permute_sym p idx in
+  let t = transpose m in
+  (t.row_ptr, t.col_idx, Array.map int_of_float t.values)

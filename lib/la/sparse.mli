@@ -69,3 +69,19 @@ val permute_sym : int array -> t -> t
     orderings ahead of {!Sparse_lu}.
     @raise Invalid_argument if [a] is not square or [p] is not a
     permutation of its indices. *)
+
+val column_plan :
+  ?perm:int array ->
+  n:int ->
+  row_ptr:int array ->
+  col_idx:int array ->
+  unit ->
+  int array * int array * int array
+(** [column_plan ?perm ~n ~row_ptr ~col_idx ()] is the CSC layout of
+    [permute_sym perm A] for any [n]x[n] matrix [A] with this CSR pattern,
+    as [(col_ptr, row_idx, src)]: entry [p] of that layout holds
+    [A]'s value [src.(p)] (an index into its CSR values array). A
+    factorization that records the plan can gather the values of a
+    same-pattern matrix straight from its CSR array, skipping the
+    per-call {!transpose} and {!permute_sym}. Pattern-only, so it serves
+    real and complex matrices alike. *)

@@ -194,11 +194,25 @@ let nnz f = Array.length f.l_vals + Array.length f.u_vals + f.n
    previous pivots — and raises [Singular] when a frozen pivot has decayed
    below [pivot_decay] times its column magnitude, at which point the
    caller falls back to a fresh [analyze]. This is the KLU-style
-   refactorization discipline. *)
+   refactorization discipline.
+
+   The plan also keeps the input's CSR pattern and a scatter plan from it
+   (through the ordering) to the column layout the elimination reads, so
+   a refactor gathers a same-pattern matrix's values straight from its
+   CSR array: no transpose and no permutation per call. A matrix whose
+   index arrays are physically the analyzed ones (the MNA pattern caches
+   hand out shared arrays) is recognised without looking at them. *)
 
 type symbolic = {
   s_n : int;
-  s_nnz : int; (* nnz of the analyzed matrix: cheap same-pattern check *)
+  (* the analyzed input pattern (shared, not copied) and its scatter plan:
+     column k of the ordered matrix is rows s_at_rows.(p) holding input
+     value s_src.(p), p in s_at_ptr.(k) .. s_at_ptr.(k+1)-1 *)
+  s_row_ptr : int array;
+  s_col_idx : int array;
+  s_at_ptr : int array;
+  s_at_rows : int array;
+  s_src : int array;
   s_prow : int array; (* pivot position -> original row *)
   s_pinv : int array; (* original row -> pivot position *)
   (* structural column patterns, original-row coordinates *)
@@ -230,11 +244,11 @@ let ibuf_push b i =
   b.ib.(b.ilen) <- i;
   b.ilen <- b.ilen + 1
 
-let analyze_core a =
+let analyze ?perm a =
   let n = Sparse.rows a in
   if Sparse.cols a <> n then invalid_arg "Sparse_lu.analyze: matrix not square";
-  let at = Sparse.transpose a in
-  let at_ptr, at_rows, at_vals = Sparse.csr at in
+  let row_ptr, col_idx, vals = Sparse.csr a in
+  let at_ptr, at_rows, src = Sparse.column_plan ?perm ~n ~row_ptr ~col_idx () in
   let pinv = Array.make n (-1) in
   let prow = Array.make n (-1) in
   let x = Array.make n 0.0 in
@@ -255,9 +269,9 @@ let analyze_core a =
         touched.(i) <- true;
         touch_list.(!nt) <- i;
         incr nt;
-        x.(i) <- at_vals.(p)
+        x.(i) <- vals.(src.(p))
       end
-      else x.(i) <- x.(i) +. at_vals.(p)
+      else x.(i) <- x.(i) +. vals.(src.(p))
     done;
     (* structural elimination: a previous column participates whenever its
        pivot row is touched, value notwithstanding, so the recorded
@@ -324,7 +338,11 @@ let analyze_core a =
   let s =
     {
       s_n = n;
-      s_nnz = Sparse.nnz a;
+      s_row_ptr = row_ptr;
+      s_col_idx = col_idx;
+      s_at_ptr = at_ptr;
+      s_at_rows = at_rows;
+      s_src = src;
       s_prow = prow;
       s_pinv = pinv;
       sl_colptr = l_colptr;
@@ -335,7 +353,7 @@ let analyze_core a =
       su_prows;
       s_dep_ptr = dep_ptr;
       s_deps = Array.sub deps.ib 0 deps.ilen;
-      s_qperm = None;
+      s_qperm = perm;
     }
   in
   Atomic.incr n_full;
@@ -351,24 +369,22 @@ let analyze_core a =
       u_vals = Array.sub u.va 0 u.len;
       udiag;
       pinv;
-      qperm = None;
+      qperm = perm;
     }
   in
   (s, f)
 
-let analyze ?perm a =
-  match perm with
-  | None -> analyze_core a
-  | Some p ->
-      let s, f = analyze_core (Sparse.permute_sym p a) in
-      ({ s with s_qperm = Some p }, { f with qperm = Some p })
+(* the analyzed pattern: physically shared index arrays first, a
+   structural compare otherwise *)
+let same_pattern s a =
+  let row_ptr, col_idx, _ = Sparse.csr a in
+  Sparse.rows a = s.s_n
+  && Sparse.cols a = s.s_n
+  && ((row_ptr == s.s_row_ptr && col_idx == s.s_col_idx)
+     || (row_ptr = s.s_row_ptr && col_idx = s.s_col_idx))
 
-let refactor_core s a =
-  let n = Sparse.rows a in
-  if Sparse.cols a <> n || n <> s.s_n || Sparse.nnz a <> s.s_nnz then
-    invalid_arg "Sparse_lu.refactor: pattern mismatch";
-  let at = Sparse.transpose a in
-  let at_ptr, at_rows, at_vals = Sparse.csr at in
+let refactor_values s vals =
+  let n = s.s_n in
   let x = Array.make n 0.0 in
   let l_vals = Array.make (Array.length s.sl_rows) 0.0 in
   let u_vals = Array.make (Array.length s.su_rows) 0.0 in
@@ -376,9 +392,9 @@ let refactor_core s a =
   for k = 0 to n - 1 do
     (* scatter A[:,k]; its rows are a subset of the recorded reach, which
        was zeroed after the previous column *)
-    for p = at_ptr.(k) to at_ptr.(k + 1) - 1 do
-      let i = at_rows.(p) in
-      x.(i) <- x.(i) +. at_vals.(p)
+    for p = s.s_at_ptr.(k) to s.s_at_ptr.(k + 1) - 1 do
+      let i = s.s_at_rows.(p) in
+      x.(i) <- x.(i) +. vals.(s.s_src.(p))
     done;
     for dp = s.s_dep_ptr.(k) to s.s_dep_ptr.(k + 1) - 1 do
       let kp = s.s_deps.(dp) in
@@ -423,13 +439,16 @@ let refactor_core s a =
     u_vals;
     udiag;
     pinv = s.s_pinv;
-    qperm = None;
+    qperm = s.s_qperm;
   }
 
+let values a =
+  let _, _, v = Sparse.csr a in
+  v
+
 let refactor s a =
-  match s.s_qperm with
-  | None -> refactor_core s a
-  | Some p -> { (refactor_core s (Sparse.permute_sym p a)) with qperm = Some p }
+  if not (same_pattern s a) then invalid_arg "Sparse_lu.refactor: pattern mismatch";
+  refactor_values s (values a)
 
 let same_perm a b =
   match (a, b) with
@@ -439,10 +458,8 @@ let same_perm a b =
 
 let factor_cached ?perm cache a =
   match !cache with
-  | Some s
-    when s.s_n = Sparse.rows a && s.s_nnz = Sparse.nnz a
-         && same_perm s.s_qperm perm -> begin
-      try refactor s a
+  | Some s when same_perm s.s_qperm perm && same_pattern s a -> begin
+      try refactor_values s (values a)
       with Singular ->
         (* pivots drifted too far from the analyzed values: re-pivot *)
         let s', f = analyze ?perm a in

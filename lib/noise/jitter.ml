@@ -21,14 +21,11 @@ let noisy_step ?perm ~cache c ~x_prev ~dt ~i_noise =
   while (not !ok) && !iter < 50 do
     incr iter;
     let q1 = Mna.eval_q c x and f1 = Mna.eval_f c x in
-    let r =
-      Vec.init n (fun i -> ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. i_noise.(i))
-    in
-    let j =
-      Sparse.add
-        (Sparse.scale (1.0 /. dt) (Mna.jac_c_sparse c x))
-        (Mna.jac_g_sparse c x)
-    in
+    let r = Vec.create n in
+    for i = 0 to n - 1 do
+      r.(i) <- ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. i_noise.(i)
+    done;
+    let j = Mna.companion c x ~a_c:(1.0 /. dt) ~a_g:1.0 in
     let dx = Sparse_lu.solve (Sparse_lu.factor_cached ?perm cache j) r in
     let step = Vec.norm_inf dx in
     if step <= 1e-12 *. Float.max 1.0 (Vec.norm_inf x) then ok := true

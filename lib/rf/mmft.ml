@@ -61,19 +61,21 @@ let integrate_fast c ~y0 ~t0 ~period2 ~steps ~with_monodromy =
   Mat.set_row traj 0 y0;
   let mono = ref (if with_monodromy then Mat.identity n else Mat.make 0 0) in
   let x = ref (Vec.copy y0) in
+  (* one symbolic analysis for the whole fast period: every step factors
+     the same companion pattern *)
+  let symb = ref None in
   for kk = 1 to steps do
     let t_prev = t0 +. (float_of_int (kk - 1) *. h) in
     let x_prev = !x in
     let x_next =
-      try Tran.implicit_step c ~method_:Tran.Backward_euler ~x_prev ~t_prev ~dt:h
+      try Tran.implicit_step ~symb c ~method_:Tran.Backward_euler ~x_prev ~t_prev ~dt:h
       with Tran.Step_failed t ->
         Error.fail ~engine ~time:t
           ~cause:(Supervisor.Newton_stall { iterations = kk; residual = infinity })
           (Printf.sprintf "step failed at t=%g" t)
     in
     if with_monodromy then begin
-      let c1 = Mna.jac_c_sparse c x_next and g1 = Mna.jac_g_sparse c x_next in
-      let j = Sparse.add (Sparse.scale (1.0 /. h) c1) g1 in
+      let j = Mna.companion c x_next ~a_c:(1.0 /. h) ~a_g:1.0 in
       let c0 = Sparse.scale (1.0 /. h) (Mna.jac_c_sparse c x_prev) in
       let f =
         try Sparse_lu.factor j

@@ -144,8 +144,10 @@ let spectral_residual sol ~factor =
 let reintegrate_period c ~period ~steps x0 =
   let dt = period /. float_of_int steps in
   let x = ref (Vec.copy x0) and t = ref 0.0 in
+  (* fixed dt, fixed pattern: one symbolic analysis for the whole period *)
+  let symb = ref None in
   for _ = 1 to steps do
-    x := Tran.implicit_step c ~method_:Tran.Trapezoidal ~x_prev:!x ~t_prev:!t ~dt;
+    x := Tran.implicit_step ~symb c ~method_:Tran.Trapezoidal ~x_prev:!x ~t_prev:!t ~dt;
     t := !t +. dt
   done;
   !x

@@ -44,21 +44,18 @@ let gear2_step ?(damping = 5.0) ?symb c ~x_prev ~x_prev2 ~t1 ~h =
   while (not !ok) && !iter < 50 do
     incr iter;
     let q1 = Mna.eval_q c x and f1 = Mna.eval_f c x in
-    let r =
-      Vec.init n (fun i ->
-          (((3.0 *. q1.(i)) -. (4.0 *. q0.(i)) +. qm1.(i)) /. (2.0 *. h))
-          +. f1.(i) -. b1.(i))
-    in
+    let r = Vec.create n in
+    for i = 0 to n - 1 do
+      r.(i) <-
+        (((3.0 *. q1.(i)) -. (4.0 *. q0.(i)) +. qm1.(i)) /. (2.0 *. h))
+        +. f1.(i) -. b1.(i)
+    done;
     (* residual scale: the q/h terms dominate, so an absolute tolerance is
        meaningless -- converge on the Newton step size instead *)
     if Vec.norm_inf r <= 1e-11 *. Float.max 1.0 (Vec.norm_inf b1) +. 1e-13 then
       ok := true
     else begin
-      let j =
-        Sparse.add
-          (Sparse.scale (1.5 /. h) (Mna.jac_c_sparse c x))
-          (Mna.jac_g_sparse c x)
-      in
+      let j = Mna.companion c x ~a_c:(1.5 /. h) ~a_g:1.0 in
       let dx =
         try Sparse_lu.solve (Sparse_lu.factor_cached symb j) r
         with Lu.Singular ->
@@ -108,9 +105,8 @@ let integrate_period ?(with_monodromy = true) ?damping c ~x0 ~period ~m ~t_offse
       (* step Jacobians and monodromy propagation through the sparse
          stamps: the monodromy itself is dense, but every product against
          it is a sparse matmat and every solve a sparse LU *)
-      let c1 = Mna.jac_c_sparse c x_next and g1 = Mna.jac_g_sparse c x_next in
       if k = 1 then begin
-        let j = Sparse.add (Sparse.scale (1.0 /. h) c1) g1 in
+        let j = Mna.companion c x_next ~a_c:(1.0 /. h) ~a_g:1.0 in
         let c0 = Sparse.scale (1.0 /. h) (Mna.jac_c_sparse c x_prev) in
         let f =
           try Sparse_lu.factor_cached symb j
@@ -122,7 +118,7 @@ let integrate_period ?(with_monodromy = true) ?damping c ~x0 ~period ~m ~t_offse
         mono := Sparse_lu.solve_mat f (Sparse.matmat c0 (Mat.identity n))
       end
       else begin
-        let j = Sparse.add (Sparse.scale (1.5 /. h) c1) g1 in
+        let j = Mna.companion c x_next ~a_c:(1.5 /. h) ~a_g:1.0 in
         let c0 = Mna.jac_c_sparse c x_prev and cm1 = Mna.jac_c_sparse c !x_prev2 in
         let rhs =
           Mat.sub

@@ -38,8 +38,7 @@ let be_step ?(damping = 5.0) c ~b ~coupling ~h2 ~x_prev ~tau1 ~k_step =
        if !last_res <= 1e-10 *. Float.max 1.0 (Vec.norm_inf bk) +. 1e-12 then
          ok := true
        else begin
-         let c1 = Mna.jac_c_sparse c x and g1 = Mna.jac_g_sparse c x in
-         let j = Sparse.add (Sparse.scale ((1.0 /. h2) +. inv_h1) c1) g1 in
+         let j = Mna.companion c x ~a_c:((1.0 /. h2) +. inv_h1) ~a_g:1.0 in
          if Faults.singular_now ~engine then raise Lu.Singular;
          let dx = Sparse_lu.solve (Sparse_lu.factor j) r in
          let step = Vec.norm_inf dx in
@@ -83,8 +82,7 @@ let integrate ?damping ?coupling c ~b ~period2 ~steps ~y0 ~with_monodromy =
       be_step ?damping c ~b ~coupling ~h2 ~x_prev ~tau1 ~k_step:(k mod steps)
     in
     if with_monodromy then begin
-      let c1 = Mna.jac_c_sparse c x_next and g1 = Mna.jac_g_sparse c x_next in
-      let j = Sparse.add (Sparse.scale ((1.0 /. h2) +. inv_h1) c1) g1 in
+      let j = Mna.companion c x_next ~a_c:((1.0 /. h2) +. inv_h1) ~a_g:1.0 in
       let c0 = Sparse.scale (1.0 /. h2) (Mna.jac_c_sparse c x_prev) in
       let f =
         try Sparse_lu.factor j

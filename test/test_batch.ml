@@ -253,6 +253,24 @@ let qcheck_jobs_determinism =
       let b = run_sweep ~domains:(1 + extra_domains) ~axes ~analyses () in
       report_lines a = report_lines b)
 
+(* helper domains are reused across back-to-back runs and retire once
+   idle, instead of being spawned and joined per run *)
+let test_pool_reuse_and_retire () =
+  let drained () =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Runner.pool_helpers () > 0 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    Runner.pool_helpers () = 0
+  in
+  check_bool "earlier runs' helpers retire" true (drained ());
+  let axes = [ Spec.parse_axis "R1=1k,2k,3k,4k" ] in
+  let a = run_sweep ~domains:3 ~axes ~analyses:[ Spec.Dc ] () in
+  check_bool "no more parked than the run used" true (Runner.pool_helpers () <= 2);
+  let b = run_sweep ~domains:3 ~axes ~analyses:[ Spec.Dc ] () in
+  Alcotest.(check (list string)) "same report on reused helpers" (report_lines a) (report_lines b);
+  check_bool "idle helpers retire" true (drained ())
+
 let test_runner_cache_rerun () =
   let dir = fresh_dir () in
   let cache = Cache.create ~dir () in
@@ -759,6 +777,7 @@ let suite =
         Alcotest.test_case "jobs=1 vs jobs=4" `Quick test_jobs1_vs_jobs4_identical;
         QCheck_alcotest.to_alcotest qcheck_jobs_determinism;
         Alcotest.test_case "cache rerun + heal" `Quick test_runner_cache_rerun;
+        Alcotest.test_case "pool reuse and retire" `Quick test_pool_reuse_and_retire;
         Alcotest.test_case "pss chain keys hb jobs only" `Quick test_job_key_pss_chain;
         Alcotest.test_case "failed job isolated" `Quick test_failed_job_does_not_kill_sweep;
         Alcotest.test_case "telemetry log" `Quick test_telemetry_log;
